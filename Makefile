@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke
+.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke fccperf-smoke
 
 # ci is the tier-1 gate: build, vet, the invariant lint pass, the full
 # suite under the race detector, the sharded-equivalence crown jewel
-# under -race, and a smoke run of every example binary. Run it before
+# under -race, a smoke run of every example binary, and the end-to-end
+# benchmark's own tests (fccperf-smoke). Run it before
 # every push. bench-smoke rides along non-gating (the leading `-`): a
 # crash in a benchmark prints loudly but does not fail the gate, since
 # timing noise must never block a merge.
-ci: build vet lint race shard-equiv fabstore-equiv examples-smoke
+ci: build vet lint race shard-equiv fabstore-equiv examples-smoke fccperf-smoke
 	-@$(MAKE) --no-print-directory bench-smoke || echo "bench-smoke FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory shard-speedup || echo "shard-speedup FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory scale-smoke || echo "scale-smoke FAILED (non-gating)"
@@ -95,6 +96,13 @@ scale-smoke:
 # just enough to catch panics and broken invariants, cheap enough for ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=100x ./... > /dev/null
+
+# fccperf-smoke runs the end-to-end benchmark's own tests: every
+# workload at 1/100 size with the zero-failure and same-seed-repeat
+# checks, and TestLintClean. cmd/fccperf is a module of its own, so the
+# root's `go test ./...` never builds it.
+fccperf-smoke:
+	cd cmd/fccperf && $(GO) test -count=1 ./...
 
 # examples-smoke builds and runs every example end to end; each is a
 # short deterministic simulation, so a non-zero exit is a real break.

@@ -18,10 +18,8 @@ func main() {
 	size := flag.Int("size", 64, "request payload bytes (<=512)")
 	window := flag.Int("window", 8, "outstanding requests per host")
 	reads := flag.Bool("reads", true, "issue reads (false: writes)")
-	dur := flag.Duration("dur", 0, "unused; simulation runs a fixed op count")
 	ops := flag.Int("ops", 2000, "requests per host")
 	flag.Parse()
-	_ = dur
 
 	c, err := fcc.New(fcc.Config{
 		Hosts: *hosts, FAMs: *fams, FAMCapacity: 1 << 30,

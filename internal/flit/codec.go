@@ -220,8 +220,11 @@ func (f *Flit) Corrupt(bit int) {
 	f.Payload[idx] ^= 1 << (bit % 8)
 }
 
-// crcTable is the CRC-16/CCITT-FALSE table (poly 0x1021).
-var crcTable [256]uint16
+// crcTable holds the slicing-by-16 tables for CRC-16/CCITT-FALSE (poly
+// 0x1021, 8 KiB in all). crcTable[0] is the classic byte-at-a-time
+// table; crcTable[k][b] is the CRC contribution of byte b followed by k
+// zero bytes, so sixteen independent lookups fold sixteen bytes at once.
+var crcTable [16][256]uint16
 
 func init() {
 	for i := 0; i < 256; i++ {
@@ -233,15 +236,35 @@ func init() {
 				crc <<= 1
 			}
 		}
-		crcTable[i] = crc
+		crcTable[0][i] = crc
+	}
+	for k := 1; k < len(crcTable); k++ {
+		for i := 0; i < 256; i++ {
+			prev := crcTable[k-1][i]
+			crcTable[k][i] = prev<<8 ^ crcTable[0][prev>>8]
+		}
 	}
 }
 
-// CRC16 computes CRC-16/CCITT-FALSE over data.
+// CRC16 computes CRC-16/CCITT-FALSE over data: sixteen bytes per step
+// through the slicing tables, then a byte loop for the tail. The running
+// CRC folds into the first two bytes of each step (the register is two
+// bytes wide and the CRC is linear), leaving each byte's lookup
+// independent of the others.
 func CRC16(data []byte) uint16 {
 	crc := uint16(0xFFFF)
+	t := &crcTable
+	for len(data) >= 16 {
+		d := data[:16:16]
+		crc = t[15][d[0]^byte(crc>>8)] ^ t[14][d[1]^byte(crc)] ^
+			t[13][d[2]] ^ t[12][d[3]] ^ t[11][d[4]] ^ t[10][d[5]] ^
+			t[9][d[6]] ^ t[8][d[7]] ^ t[7][d[8]] ^ t[6][d[9]] ^
+			t[5][d[10]] ^ t[4][d[11]] ^ t[3][d[12]] ^ t[2][d[13]] ^
+			t[1][d[14]] ^ t[0][d[15]]
+		data = data[16:]
+	}
 	for _, b := range data {
-		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
+		crc = crc<<8 ^ t[0][byte(crc>>8)^b]
 	}
 	return crc
 }

@@ -2,6 +2,7 @@ package flit
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -178,6 +179,121 @@ func TestCRC16KnownVector(t *testing.T) {
 	if got := CRC16([]byte("123456789")); got != 0x29B1 {
 		t.Fatalf("CRC16 = %#x, want 0x29B1", got)
 	}
+}
+
+// crc16Bitwise is the reference CRC-16/CCITT-FALSE: poly 0x1021, init
+// 0xFFFF, one bit at a time, no tables. It pins the sliced CRC16.
+func crc16Bitwise(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc ^= uint16(b) << 8
+		for i := 0; i < 8; i++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ 0x1021
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}
+
+// TestCRC16MatchesBitwise checks CRC16 against the bitwise reference at
+// every length up to two Mode256 payloads plus a tail (every split
+// between 16-byte steps and the byte loop), and pins the values of the
+// two flit payload sizes.
+func TestCRC16MatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	buf := make([]byte, 2*Mode256.PayloadBytes()+17)
+	for i := range buf {
+		buf[i] = byte(rng.Uint32())
+	}
+	for n := 0; n <= len(buf); n++ {
+		if got, want := CRC16(buf[:n]), crc16Bitwise(buf[:n]); got != want {
+			t.Fatalf("len %d: CRC16 = %#04x, bitwise = %#04x", n, got, want)
+		}
+	}
+	for _, c := range []struct {
+		m    Mode
+		want uint16
+	}{{Mode68, 0x8064}, {Mode256, 0x8E07}} {
+		payload := make([]byte, c.m.PayloadBytes())
+		for i := range payload {
+			payload[i] = byte(i*7 + 3)
+		}
+		if got := CRC16(payload); got != c.want {
+			t.Fatalf("%v payload: CRC16 = %#04x, want %#04x", c.m, got, c.want)
+		}
+	}
+}
+
+// FuzzCRC16 checks CRC16 against the bitwise reference on arbitrary
+// bytes.
+func FuzzCRC16(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := CRC16(data), crc16Bitwise(data); got != want {
+			t.Fatalf("len %d: CRC16 = %#04x, bitwise = %#04x", len(data), got, want)
+		}
+	})
+}
+
+// FuzzDecode cuts arbitrary bytes into flits of each mode, with valid
+// CRCs unless flip is non-zero (it is XORed into the last flit's). Decode
+// and Pool.Decode must not panic and must agree on the error or the
+// packet, and a decoded packet must survive Encode/Decode in both modes.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, flip uint16) {
+		for _, m := range []Mode{Mode68, Mode256} {
+			flits := rawFlits(m, raw)
+			flits[len(flits)-1].CRC ^= flip
+			p, err := Decode(m, flits)
+			q, qerr := NewPool(m).Decode(flits)
+			if err != qerr { // both return bare sentinels
+				t.Fatalf("%v: Decode err %v, Pool.Decode err %v", m, err, qerr)
+			}
+			if err != nil {
+				continue
+			}
+			if !samePacket(p, q) {
+				t.Fatalf("%v: Decode %+v, Pool.Decode %+v", m, p, q)
+			}
+			for _, m2 := range []Mode{Mode68, Mode256} {
+				fl, err := Encode(m2, p, 0)
+				if err != nil {
+					t.Fatalf("%v->%v: re-encode: %v", m, m2, err)
+				}
+				r, err := Decode(m2, fl)
+				if err != nil {
+					t.Fatalf("%v->%v: re-decode: %v", m, m2, err)
+				}
+				if !samePacket(p, r) {
+					t.Fatalf("%v->%v: round trip %+v, want %+v", m, m2, r, p)
+				}
+			}
+		}
+	})
+}
+
+// rawFlits cuts raw into zero-padded flits of mode m, at least one, each
+// with a valid CRC.
+func rawFlits(m Mode, raw []byte) []*Flit {
+	per := m.PayloadBytes()
+	n := max(1, (len(raw)+per-1)/per)
+	flits := make([]*Flit, n)
+	for i := range flits {
+		payload := make([]byte, per)
+		copy(payload, raw[min(i*per, len(raw)):])
+		flits[i] = &Flit{Seq: uint32(i), Last: i == n-1, Payload: payload,
+			CRC: CRC16(payload)}
+	}
+	return flits
+}
+
+func samePacket(a, b *Packet) bool {
+	return a.Chan == b.Chan && a.Op == b.Op && a.Src == b.Src && a.Dst == b.Dst &&
+		a.Tag == b.Tag && a.Addr == b.Addr && a.Size == b.Size &&
+		a.ReqLen == b.ReqLen && a.Hops == b.Hops && bytes.Equal(a.Data, b.Data) &&
+		(a.Data == nil) == (b.Data == nil)
 }
 
 func TestResponseSwapsEndpoints(t *testing.T) {
