@@ -1,16 +1,18 @@
 GO ?= go
 
-.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke fccperf-smoke
+.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke fccperf-smoke fuzz-smoke
 
 # ci is the tier-1 gate: build, vet, the invariant lint pass, the full
 # suite under the race detector, the sharded-equivalence crown jewel
 # under -race, a smoke run of every example binary, and the end-to-end
 # benchmark's own tests (fccperf-smoke). Run it before
-# every push. bench-smoke rides along non-gating (the leading `-`): a
-# crash in a benchmark prints loudly but does not fail the gate, since
-# timing noise must never block a merge.
+# every push. bench-smoke and fuzz-smoke ride along non-gating (the
+# leading `-`): a crash in a benchmark or a new fuzz finding prints
+# loudly but does not fail the gate, since timing noise and time-boxed
+# searches must never block a merge.
 ci: build vet lint race shard-equiv fabstore-equiv examples-smoke fccperf-smoke
 	-@$(MAKE) --no-print-directory bench-smoke || echo "bench-smoke FAILED (non-gating)"
+	-@$(MAKE) --no-print-directory fuzz-smoke || echo "fuzz-smoke FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory shard-speedup || echo "shard-speedup FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory scale-smoke || echo "scale-smoke FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory bench-diff || echo "bench-diff FAILED (non-gating)"
@@ -96,6 +98,16 @@ scale-smoke:
 # just enough to catch panics and broken invariants, cheap enough for ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=100x ./... > /dev/null
+
+# fuzz-smoke runs each native fuzz target for about 10 s, one go test
+# -fuzz call per target, since -fuzz takes one target at a time: the
+# flit codec against its bitwise and unpooled references, and the ladder
+# engine against the heap executive. A finding is written to the
+# package's testdata/fuzz, where plain `go test` replays it from then on.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCRC16$$' -fuzztime 10s ./internal/flit/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/flit/
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim/
 
 # fccperf-smoke runs the end-to-end benchmark's own tests: every
 # workload at 1/100 size with the zero-failure and same-seed-repeat

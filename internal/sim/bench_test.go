@@ -150,6 +150,45 @@ func BenchmarkProcSpawn(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkProcWakeMany measures the nested wake every model built on
+// futures makes: 64 processes parked in Future.Await, completed one at a
+// time from callback events. Each completion resumes its waiter inside
+// the callback, which parks again on a fresh future: two goroutine
+// switches per op, with 63 other runners parked throughout.
+func BenchmarkProcWakeMany(b *testing.B) {
+	const procs = 64
+	e := NewEngine()
+	futs := make([]*Future[int], procs)
+	for i := range futs {
+		futs[i] = NewFuture[int]()
+		e.Go("waiter", func(p *Proc) {
+			for {
+				if _, err := futs[i].Await(p); err != nil {
+					return
+				}
+				futs[i] = NewFuture[int]()
+			}
+		})
+	}
+	n := 0
+	var wake func()
+	wake = func() {
+		if n == b.N {
+			for _, f := range futs {
+				f.Fail(errSentinel)
+			}
+			return
+		}
+		futs[n%procs].Complete(n)
+		n++
+		e.After(Nanosecond, wake)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.After(Nanosecond, wake)
+	e.Run()
+}
+
 // BenchmarkHistogramObserve measures the stats hot path.
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram()

@@ -1,6 +1,5 @@
 package sim
 
-//fcclint:conc engine park/wake handshake with paused proc runners
 import (
 	"fmt"
 	"math/bits"
@@ -138,9 +137,7 @@ func eventCmp(a, b *event) int {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{curEnd: bucketWidth}
-	e.mainHand.park = make(chan struct{})
-	return e
+	return &Engine{curEnd: bucketWidth, mainHand: newHandoff()}
 }
 
 // Now reports the current virtual time.

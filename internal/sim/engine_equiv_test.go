@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"testing"
 )
 
@@ -73,38 +74,37 @@ type scheduler interface {
 	At(Time, func())
 }
 
-// driveTrace seeds one pseudo-random cascading schedule onto s,
-// appending each fired event's id to *order as the run progresses. All
-// decisions come from the seeded RNG, so two schedulers given the same
-// seed see the identical trace; the delay mix deliberately covers
-// same-instant ties (0), sub-bucket (ps), in-window (ns..hundreds of
-// ns), beyond-window (multi-µs, exercising the far heap and window
-// jumps), and ms-scale outliers.
-func driveTrace(s scheduler, seed uint64, order *[]int) {
-	rng := NewRNG(seed)
+// driveTrace seeds one cascading schedule onto s, appending each fired
+// event's id to *order as the run progresses. Every decision comes from
+// pick (a value in [0, n)), so two schedulers given identical pickers
+// see the identical trace as long as they fire in the same order; the
+// delay mix deliberately covers same-instant ties (0), sub-bucket (ps),
+// in-window (ns..hundreds of ns), beyond-window (multi-µs, exercising
+// the far heap and window jumps), and ms-scale outliers. budget caps the
+// events scheduled.
+func driveTrace(s scheduler, pick func(n int) int, budget int, order *[]int) {
 	next := 0
-	budget := 4000
 	var spawn func() func()
 	spawn = func() func() {
 		id := next
 		next++
 		return func() {
 			*order = append(*order, id)
-			kids := rng.Intn(3)
+			kids := pick(3)
 			for k := 0; k < kids && budget > 0; k++ {
 				budget--
 				var d Time
-				switch rng.Intn(6) {
+				switch pick(6) {
 				case 0:
 					d = 0
 				case 1:
-					d = Time(rng.Intn(1024)) // sub-bucket
+					d = Time(pick(1024)) // sub-bucket
 				case 2, 3:
-					d = Time(rng.Intn(500)) * Nanosecond
+					d = Time(pick(500)) * Nanosecond
 				case 4:
-					d = Time(1+rng.Intn(10)) * Microsecond
+					d = Time(1+pick(10)) * Microsecond
 				default:
-					d = Time(1+rng.Intn(3)) * Millisecond
+					d = Time(1+pick(3)) * Millisecond
 				}
 				s.At(s.Now()+d, spawn())
 			}
@@ -112,7 +112,18 @@ func driveTrace(s scheduler, seed uint64, order *[]int) {
 	}
 	for i := 0; i < 64; i++ {
 		budget--
-		s.At(Time(rng.Intn(200))*Nanosecond, spawn())
+		s.At(Time(pick(200))*Nanosecond, spawn())
+	}
+}
+
+// RunUntil is Engine.RunUntil on the reference executive: fire every event
+// at or before t, then set the clock to t.
+func (e *heapEngine) RunUntil(t Time) {
+	for len(e.queue) > 0 && e.queue[0].at <= t {
+		e.Step()
+	}
+	if t > e.now {
+		e.now = t
 	}
 }
 
@@ -124,22 +135,14 @@ func TestLadderMatchesHeapReference(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		var gotL, gotH []int
 		ladder := NewEngine()
-		driveTrace(ladder, seed, &gotL)
+		driveTrace(ladder, NewRNG(seed).Intn, 4000, &gotL)
 		ladder.Run()
 
 		ref := &heapEngine{}
-		driveTrace(ref, seed, &gotH)
+		driveTrace(ref, NewRNG(seed).Intn, 4000, &gotH)
 		ref.Run()
 
-		if len(gotL) != len(gotH) {
-			t.Fatalf("seed %d: ladder fired %d events, heap %d", seed, len(gotL), len(gotH))
-		}
-		for i := range gotL {
-			if gotL[i] != gotH[i] {
-				t.Fatalf("seed %d: fire order diverges at event %d: ladder=%d heap=%d",
-					seed, i, gotL[i], gotH[i])
-			}
-		}
+		sameOrder(t, fmt.Sprintf("seed %d", seed), gotL, gotH)
 		if ladder.Now() != ref.Now() {
 			t.Fatalf("seed %d: final clocks differ: %v vs %v", seed, ladder.Now(), ref.Now())
 		}
@@ -152,24 +155,91 @@ func TestLadderMatchesHeapReference(t *testing.T) {
 func TestLadderMatchesHeapUnderRunUntil(t *testing.T) {
 	var gotL, gotH []int
 	ladder := NewEngine()
-	driveTrace(ladder, 99, &gotL)
+	driveTrace(ladder, NewRNG(99).Intn, 4000, &gotL)
 	ref := &heapEngine{}
-	driveTrace(ref, 99, &gotH)
+	driveTrace(ref, NewRNG(99).Intn, 4000, &gotH)
 
 	for until := 100 * Nanosecond; ladder.Pending() > 0 || len(ref.queue) > 0; until += 137 * Nanosecond {
 		ladder.RunUntil(until)
-		for len(ref.queue) > 0 && ref.queue[0].at <= until {
-			ref.Step()
-		}
+		ref.RunUntil(until)
 		if len(gotL) != len(gotH) {
 			t.Fatalf("until %v: ladder fired %d, heap fired %d", until, len(gotL), len(gotH))
 		}
 	}
+	sameOrder(t, "stepped", gotL, gotH)
+}
+
+// sameOrder fails the test unless the ladder and heap executives fired
+// the same events in the same order.
+func sameOrder(t *testing.T, label string, gotL, gotH []int) {
+	t.Helper()
+	if len(gotL) != len(gotH) {
+		t.Fatalf("%s: ladder fired %d events, heap %d", label, len(gotL), len(gotH))
+	}
 	for i := range gotL {
 		if gotL[i] != gotH[i] {
-			t.Fatalf("fire order diverges at %d: %d vs %d", i, gotL[i], gotH[i])
+			t.Fatalf("%s: fire order diverges at event %d: ladder=%d heap=%d", label, i, gotL[i], gotH[i])
 		}
 	}
+}
+
+// fuzzPicker draws decisions from the fuzzer's bytes (one per decision
+// below 256 choices, two above), then from an RNG seeded by the fuzzer,
+// so a short input still builds a full schedule.
+func fuzzPicker(seed uint64, data []byte) func(n int) int {
+	rng := NewRNG(seed)
+	return func(n int) int {
+		switch {
+		case n <= 256 && len(data) >= 1:
+			v := int(data[0])
+			data = data[1:]
+			return v % n
+		case len(data) >= 2:
+			v := int(data[0]) | int(data[1])<<8
+			data = data[2:]
+			return v % n
+		}
+		return rng.Intn(n)
+	}
+}
+
+// FuzzEngineOrder drives the ladder engine and the heap reference from
+// the same fuzzer-chosen schedule (driveTrace's delay mix: After(0)
+// cascades, sub-bucket and in-window delays, migration from the far
+// tier) and requires the same fire order and the same final clock. A
+// zero step runs both to completion with Run; otherwise both advance in
+// RunUntil increments of step%5µs+1 ps, skipping empty stretches on the
+// same grid, and must have fired the same prefix at every boundary.
+func FuzzEngineOrder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, step uint32, data []byte) {
+		var gotL, gotH []int
+		ladder := NewEngine()
+		driveTrace(ladder, fuzzPicker(seed, data), 600, &gotL)
+		ref := &heapEngine{}
+		driveTrace(ref, fuzzPicker(seed, data), 600, &gotH)
+
+		if step == 0 {
+			ladder.Run()
+			ref.Run()
+		} else {
+			d := Time(step%uint32(5*Microsecond)) + 1
+			for until := Time(0); ladder.Pending() > 0 || len(ref.queue) > 0; {
+				until += d
+				if len(ref.queue) > 0 && ref.queue[0].at > until {
+					until += (ref.queue[0].at - until) / d * d
+				}
+				ladder.RunUntil(until)
+				ref.RunUntil(until)
+				if len(gotL) != len(gotH) {
+					t.Fatalf("until %v: ladder fired %d, heap fired %d", until, len(gotL), len(gotH))
+				}
+			}
+		}
+		sameOrder(t, "fuzz", gotL, gotH)
+		if ladder.Now() != ref.Now() {
+			t.Fatalf("final clocks differ: ladder %v, heap %v", ladder.Now(), ref.Now())
+		}
+	})
 }
 
 // ---------------------------------------------------------------------

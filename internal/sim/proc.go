@@ -3,11 +3,6 @@ package sim
 //fcclint:hotpath process handoff is the hottest non-event path (PR 5)
 //fcclint:conc proc handoff rendezvous with the engine main hand
 
-import (
-	"runtime"
-	"sync/atomic"
-)
-
 // Proc is a cooperatively scheduled simulation process. Each Proc runs on
 // its own goroutine, but the engine resumes exactly one process at a time
 // and blocks until that process either yields (Sleep/Await/Suspend) or
@@ -17,9 +12,9 @@ import (
 //
 // # Handoff structure
 //
-// Control transfers use a single-word rendezvous (handoff) instead of
-// channel pairs, and the transfer topology is flattened so the common
-// paths skip goroutine switches entirely:
+// Control transfers use a park-only binary semaphore (handoff), and the
+// transfer topology is flattened so the common paths skip goroutine
+// switches entirely:
 //
 //   - A process that sleeps and whose own wake-up is the next pending
 //     event consumes that event in place: zero goroutine switches
@@ -30,6 +25,15 @@ import (
 //   - Only when the next event is a plain callback (or the queue is
 //     empty/bounded) does control return to the Run caller's goroutine,
 //     which is the only goroutine that executes non-process events.
+//
+// A switch costs one channel send, one park and one scheduler pass: the
+// send makes the parked waiter runnable in the signalling P's runnext
+// slot, and the signaller's own wait parks at once, so the scheduler
+// runs the waiter next. Waits never spin first. Each yield of a spin
+// loop puts the waiting runner back on the global run queue; with up to
+// 16 yields before parking, a handoff cost 6.7–8.3 scheduler trips, and
+// goroutine scheduling was the largest cost in the fccperf ledger (47%
+// of farmem-stream's CPU).
 //
 // Synchronous wakes from event context (Suspend/Await) keep their exact
 // blocking semantics — the woken process runs immediately, nested inside
@@ -49,48 +53,21 @@ type Proc struct {
 	nested bool
 }
 
-// handoff is a single-word binary semaphore: a spin-then-park rendezvous
-// point for transferring the "exactly one goroutine runs" token. The
-// spin phase yields to the scheduler between attempts, so on a single
-// CPU the transfer usually completes via two cheap scheduler passes
-// instead of a full channel park/unpark pair (~1.5x faster, measured).
-// Atomic operations carry the happens-before edge for the race detector.
-type handoff struct {
-	// state: 0 = no token, 1 = token available, -1 = a waiter is parked.
-	state atomic.Int32
-	park  chan struct{}
-}
+// handoff is a binary semaphore carrying the "exactly one goroutine
+// runs" token. Every wait parks immediately. The one slot of buffer lets
+// a signal land before its waiter arrives (a runner not yet at its
+// wait, or a waiter still running on another P), and strict alternation
+// (one token in flight per handoff) means signal never blocks. The
+// channel carries the happens-before edge for the race detector.
+type handoff chan struct{}
 
-const handoffSpins = 16
+func newHandoff() handoff { return make(handoff, 1) }
 
 // signal deposits the token, waking the parked waiter if there is one.
-// Strict alternation (one token in flight per handoff) means signal can
-// never observe state == 1.
-func (h *handoff) signal() {
-	if h.state.Swap(1) == -1 {
-		h.park <- struct{}{}
-	}
-}
+func (h handoff) signal() { h <- struct{}{} }
 
-// wait consumes the token, spinning briefly before parking.
-func (h *handoff) wait() {
-	for i := 0; i < handoffSpins; i++ {
-		if h.state.CompareAndSwap(1, 0) {
-			return
-		}
-		runtime.Gosched()
-	}
-	for {
-		if h.state.CompareAndSwap(1, 0) {
-			return
-		}
-		if h.state.CompareAndSwap(0, -1) {
-			<-h.park
-			h.state.Store(0)
-			return
-		}
-	}
-}
+// wait parks until the token arrives and consumes it.
+func (h handoff) wait() { <-h }
 
 // runner is the goroutine + rendezvous pair a process executes on.
 // Runners are pooled on the engine: a short-lived workload thread costs
@@ -106,9 +83,7 @@ type runner struct {
 }
 
 func newRunner() *runner {
-	r := &runner{}
-	r.hand.park = make(chan struct{})
-	r.back.park = make(chan struct{})
+	r := &runner{hand: newHandoff(), back: newHandoff()}
 	go runnerLoop(r)
 	return r
 }
@@ -124,7 +99,8 @@ func runnerLoop(r *runner) {
 }
 
 // runBody executes one process body and routes control onward when it
-// returns or unwinds.
+// returns or unwinds. A process killed before its first resume never
+// enters its body.
 func runBody(p *Proc) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -146,7 +122,9 @@ func runBody(p *Proc) {
 			p.finish()
 		}
 	}()
-	p.fn(p)
+	if !p.killed {
+		p.fn(p)
+	}
 }
 
 // Go starts fn as a new process at the current simulation time. The

@@ -127,6 +127,34 @@ func TestProcKillParkedProc(t *testing.T) {
 	}
 }
 
+// TestProcKillBeforeStart: a process killed before its start event
+// fires never runs its body, whether Go and Kill come from the top level
+// or from a callback, and whether the body would yield or not.
+func TestProcKillBeforeStart(t *testing.T) {
+	e := NewEngine()
+	var ran []string
+	p := e.Go("top", func(p *Proc) {
+		ran = append(ran, "top")
+		p.Sleep(Nanosecond)
+	})
+	p.Kill()
+	var q *Proc
+	e.At(5*Nanosecond, func() {
+		q = e.Go("callback", func(p *Proc) { ran = append(ran, "callback") })
+		q.Kill()
+	})
+	e.Run()
+	if len(ran) != 0 {
+		t.Fatalf("killed unstarted processes ran their bodies: %v", ran)
+	}
+	if !p.Done() || !q.Done() {
+		t.Fatalf("killed unstarted processes not done: top %v, callback %v", p.Done(), q.Done())
+	}
+	if e.procs != 0 {
+		t.Fatalf("live proc count = %d, want 0", e.procs)
+	}
+}
+
 func TestProcKillIdempotent(t *testing.T) {
 	e := NewEngine()
 	p := e.Go("victim", func(p *Proc) { p.Sleep(Second) })
