@@ -6,6 +6,7 @@ import (
 
 	"fcc/internal/coherence"
 	"fcc/internal/etrans"
+	"fcc/internal/fabric"
 	"fcc/internal/flit"
 	"fcc/internal/link"
 	"fcc/internal/sim"
@@ -136,6 +137,62 @@ func TestClusterCoherent(t *testing.T) {
 func TestClusterRejectsZeroHosts(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("zero hosts accepted")
+	}
+}
+
+// TestNewRejects covers every configuration New refuses, each by the
+// error it must report, and the shard cuts it must still accept.
+func TestNewRejects(t *testing.T) {
+	chain := func(groups, pods int) *fabric.TopoSpec {
+		return &fabric.TopoSpec{Kind: fabric.TopoChain, Groups: groups, Pods: pods}
+	}
+	leafSpine := &fabric.TopoSpec{Kind: fabric.TopoFatTree, Tiers: 2, Radix: 4}
+	sharded := func(set func(*Config)) Config {
+		cfg := Config{Hosts: 4, FAMs: 2, Switches: 4, Ring: true, SpreadHosts: true, Shards: 2}
+		set(&cfg)
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"zero hosts", Config{FAMs: 1}, "at least one host"},
+		{"topology and switches", Config{Hosts: 1, Topology: leafSpine, Switches: 2}, "mutually exclusive"},
+		{"topology and ring", Config{Hosts: 1, Topology: leafSpine, Ring: true}, "mutually exclusive"},
+		{"sharded manager", sharded(func(c *Config) { c.Manager = true }), "centralized services"},
+		{"sharded arbiter", sharded(func(c *Config) { c.Arbiter = true }), "centralized services"},
+		{"sharded coherence", sharded(func(c *Config) { c.Coherent = true }), "centralized services"},
+		{"sharded agents", sharded(func(c *Config) { c.Agents = true }), "centralized services"},
+		{"sharded tracer", sharded(func(c *Config) { c.TraceFlits = 64 }), "centralized services"},
+		{"more shards than switches", Config{Hosts: 2, Switches: 2, Shards: 3}, "3 shards need at least that many switches, have 2"},
+		{"more shards than chain switches", Config{Hosts: 2, Topology: chain(1, 2), Shards: 3}, "have 2"},
+		{"negative pods", Config{Hosts: 1, Topology: chain(2, -1)}, "non-negative"},
+		{"negative groups", Config{Hosts: 1, Topology: chain(-2, 1)}, "non-negative"},
+		{"pods across shards", Config{Hosts: 6, Topology: chain(3, 2), Shards: 2}, "3 pods do not divide into 2 shards"},
+		{"pods across more shards", Config{Hosts: 8, Topology: chain(4, 2), Shards: 8}, "4 pods do not divide into 8 shards"},
+	} {
+		_, err := New(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+
+	// The pod check holds only for chains of multi-switch pods: a line,
+	// or a chain of one-switch groups (a ring), may be cut anywhere.
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"line at 3 shards", Config{Hosts: 4, Switches: 4, Shards: 3}},
+		{"ring at 3 shards", Config{Hosts: 4, Switches: 4, Ring: true, Shards: 3}},
+		{"one pod at 2 shards", Config{Hosts: 4, Topology: chain(1, 4), Shards: 2}},
+		{"one-switch groups at 3 shards", Config{Hosts: 4, Topology: chain(4, 1), Shards: 3}},
+		{"pods at a dividing shard count", Config{Hosts: 8, Topology: chain(4, 2), Shards: 2}},
+	} {
+		if _, err := New(tc.cfg); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

@@ -27,7 +27,8 @@ type ScaleConfig struct {
 	FAMs  int
 	// OpsPerHost memory operations stream from every host; all but
 	// every LocalEvery-th target the host's near FAM, the rest the FAM
-	// halfway across the ID space (cross-fabric traffic).
+	// halfway across the ID space (cross-fabric traffic). LocalEvery ≤ 1
+	// sends every operation far.
 	OpsPerHost int
 	LocalEvery int
 	// Shards is the shard count the fccbench sweep times against serial.
@@ -98,30 +99,19 @@ func scaleCluster(cfg ScaleConfig, shards int, manager, fullRecompute bool) *fcc
 	return c
 }
 
-// scaleWorkload starts the steady-state streams: every host issues
-// OpsPerHost reads/writes against its near FAM with every
-// LocalEvery-th op crossing to the far one, prime-staggered so no two
-// hosts tick in lockstep. committed[hi] counts host hi's successes.
-func scaleWorkload(c *fcc.Cluster, seed uint64, cfg ScaleConfig) (committed []int) {
+// scaleWorkload starts the steady-state streams: every host issues ops
+// requests (see streamOp), prime-staggered so no two hosts tick in
+// lockstep, on its own engine. committed[hi] counts host hi's successes.
+func scaleWorkload(c *fcc.Cluster, seed uint64, ops, localEvery int) (committed []int) {
 	committed = make([]int, len(c.Hosts))
 	for hi, h := range c.Hosts {
 		hi, h := hi, h
 		ep := h.Endpoint()
 		rng := sim.NewRNG(seed).Fork(uint64(hi))
-		near := c.FAMs[hi%cfg.FAMs].ID()
-		far := c.FAMs[(hi+cfg.FAMs/2)%cfg.FAMs].ID()
 		h.Engine().Go(h.Name(), func(p *sim.Proc) {
 			p.Sleep(sim.Time(1 + hi*7919)) // prime-staggered start, in ps
-			for op := 0; op < cfg.OpsPerHost; op++ {
-				target := near
-				if cfg.LocalEvery > 1 && op%cfg.LocalEvery == cfg.LocalEvery-1 {
-					target = far
-				}
-				pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: target,
-					Addr: uint64(rng.Intn(1<<16)) * 64, ReqLen: 64}
-				if op%3 == 2 {
-					pkt.Op, pkt.ReqLen, pkt.Size = flit.OpMemWr, 0, 64
-				}
+			for op := 0; op < ops; op++ {
+				pkt := streamOp(c, hi, op, localEvery, rng)
 				if _, err := ep.RequestRetry(pkt, 3, 20*sim.Microsecond).Await(p); err == nil {
 					committed[hi]++
 				}
@@ -130,6 +120,25 @@ func scaleWorkload(c *fcc.Cluster, seed uint64, cfg ScaleConfig) (committed []in
 		})
 	}
 	return committed
+}
+
+// streamOp is host hi's op-th streamed request: a 64 B read, every third
+// one a write, of a random line in the host's near FAM (the one on its
+// own switch when FAMs are spread like hosts) or, for every
+// localEvery-th op and for all of them when localEvery ≤ 1, in the FAM
+// halfway across the ID space.
+func streamOp(c *fcc.Cluster, hi, op, localEvery int, rng *sim.RNG) *flit.Packet {
+	n := len(c.FAMs)
+	fam := (hi + n/2) % n
+	if localEvery > 1 && op%localEvery != localEvery-1 {
+		fam = hi % n
+	}
+	pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: c.FAMs[fam].ID(),
+		Addr: uint64(rng.Intn(1<<16)) * 64, ReqLen: 64}
+	if op%3 == 2 {
+		pkt.Op, pkt.ReqLen, pkt.Size = flit.OpMemWr, 0, 64
+	}
+	return pkt
 }
 
 // clusterEvents totals the simulator events fired across every engine —
@@ -151,7 +160,7 @@ func clusterEvents(c *fcc.Cluster) uint64 {
 // operation count, and the total simulator events fired.
 func ScaleRun(seed uint64, shards int, cfg ScaleConfig) (raw []byte, committed int, events uint64) {
 	c := scaleCluster(cfg, shards, false, false)
-	done := scaleWorkload(c, seed, cfg)
+	done := scaleWorkload(c, seed, cfg.OpsPerHost, cfg.LocalEvery)
 	c.Run()
 	for _, d := range done {
 		committed += d
@@ -203,20 +212,10 @@ func ScaleStorm(seed uint64, cfg ScaleConfig, full bool) ScaleStormResult {
 		hi, h := hi, h
 		ep := h.Endpoint()
 		rng := sim.NewRNG(seed).Fork(uint64(hi))
-		near := c.FAMs[hi%cfg.FAMs].ID()
-		far := c.FAMs[(hi+cfg.FAMs/2)%cfg.FAMs].ID()
 		c.Go(h.Name(), func(p *sim.Proc) {
 			p.Sleep(sim.Time(1 + hi*7919))
 			for op := 0; op < cfg.OpsPerHost; op++ {
-				target := near
-				if cfg.LocalEvery > 1 && op%cfg.LocalEvery == cfg.LocalEvery-1 {
-					target = far
-				}
-				pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: target,
-					Addr: uint64(rng.Intn(1<<16)) * 64, ReqLen: 64}
-				if op%3 == 2 {
-					pkt.Op, pkt.ReqLen, pkt.Size = flit.OpMemWr, 0, 64
-				}
+				pkt := streamOp(c, hi, op, cfg.LocalEvery, rng)
 				issued[hi]++
 				_, err := ep.RequestRetry(pkt, 3, 20*sim.Microsecond).Await(p)
 				switch {
@@ -261,7 +260,7 @@ func ScaleStorm(seed uint64, cfg ScaleConfig, full bool) ScaleStormResult {
 func ScaleTraffic(seed uint64, cfg ScaleConfig) string {
 	c := scaleCluster(cfg, 1, false, false)
 	tm := c.CollectTraffic()
-	scaleWorkload(c, seed, cfg)
+	scaleWorkload(c, seed, cfg.OpsPerHost, cfg.LocalEvery)
 	c.Run()
 	return tm.RenderHeatmap()
 }

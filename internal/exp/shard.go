@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"fcc"
+	"fcc/internal/fabric"
 	"fcc/internal/fault"
-	"fcc/internal/flit"
 	"fcc/internal/link"
 	"fcc/internal/sim"
 )
@@ -28,17 +28,18 @@ type ShardConfig struct {
 	// barriers per simulated second.
 	ISLPropagation sim.Time
 	// Pods, when > 1, builds the multi-pod topology instead of the flat
-	// ring: Switches/Pods-switch pods with short ISLPropagation wires
-	// inside, joined into a pod-level ring by long-haul PodPropagation
-	// links. Shard cuts land on pod boundaries, so the discovered
-	// lookahead between adjacent shards is PodPropagation — the wide
-	// windows the scaling benchmark measures.
+	// ring: a fabric.TopoChain of Switches/Pods-switch pods with short
+	// ISLPropagation wires inside, joined into a pod-level ring by
+	// long-haul PodPropagation links. Shard cuts land on pod boundaries,
+	// so the discovered lookahead between adjacent shards is
+	// PodPropagation — the wide windows the scaling benchmark measures.
 	Pods           int
 	PodPropagation sim.Time
 	// LocalEvery: in a pod topology, all but every LocalEvery-th
 	// operation targets the FAM on the host's own switch (pod-local
 	// traffic); the rest go to the FAM halfway across the pod ring.
-	// Zero means the flat-ring behavior: every op crosses the fabric.
+	// LocalEvery ≤ 1 is the flat-ring behavior: every op crosses the
+	// fabric.
 	LocalEvery int
 	// Faults, when set, schedules the deterministic two-fault plan (a
 	// cut-ISL flap plus a lane degrade on the ring-closure ISL) that
@@ -86,29 +87,23 @@ func ShardScaleConfig() ShardConfig {
 // classic serial cluster; the topology, seeds, and every device config
 // are identical either way — only the engine partitioning differs.
 func shardCluster(cfg ShardConfig, shards int) *fcc.Cluster {
-	fcfg := fcc.Config{
-		Hosts: cfg.Hosts, FAMs: cfg.FAMs, FAMCapacity: 1 << 22,
-		Switches: cfg.Switches, Ring: cfg.Pods <= 1, SpreadHosts: true,
-		Shards: shards,
-		Pods:   cfg.Pods,
-		LinkConfig: func() link.Config {
+	wire := func(prop sim.Time) func() link.Config {
+		return func() link.Config {
 			lc := link.DefaultConfig()
-			p := lc.Phys
-			p.Propagation = cfg.ISLPropagation
-			lc.Phys = p
-			return lc
-		},
-	}
-	if cfg.Pods > 1 {
-		fcfg.PodLinkConfig = func() link.Config {
-			lc := fcfg.LinkConfig()
-			p := lc.Phys
-			p.Propagation = cfg.PodPropagation
-			lc.Phys = p
+			lc.Phys.Propagation = prop
 			return lc
 		}
 	}
-	c, err := fcc.New(fcfg)
+	spec := fabric.TopoSpec{Kind: fabric.TopoChain, Groups: cfg.Switches, Pods: 1}
+	if cfg.Pods > 1 {
+		spec.Groups, spec.Pods = cfg.Pods, cfg.Switches/cfg.Pods
+		spec.LongHaulConfig = wire(cfg.PodPropagation)
+	}
+	c, err := fcc.New(fcc.Config{
+		Hosts: cfg.Hosts, FAMs: cfg.FAMs, FAMCapacity: 1 << 22,
+		Topology: &spec, Shards: shards,
+		LinkConfig: wire(cfg.ISLPropagation),
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -136,10 +131,10 @@ func shardPlan(cfg ShardConfig) []fcc.FaultEvent {
 
 // ShardRun executes the workload at the given shard count and returns
 // the marshalled fabric-wide stats snapshot (the equivalence witness)
-// plus the number of committed operations. Hosts stream reads and
-// writes to the FAM halfway across the ring — every operation crosses
-// at least one shard cut — with per-host start offsets staggered by a
-// prime so no two hosts' streams tick in lockstep.
+// plus the number of committed operations. Hosts run scaleWorkload's
+// streams: on the rings (LocalEvery 0) every operation goes to the FAM
+// halfway across the ring and crosses at least one shard cut; on the
+// pods all but every LocalEvery-th stays on the host's own switch.
 func ShardRun(seed uint64, shards int, cfg ShardConfig) (raw []byte, committed int) {
 	c := shardCluster(cfg, shards)
 	if cfg.Faults {
@@ -147,36 +142,7 @@ func ShardRun(seed uint64, shards int, cfg ShardConfig) (raw []byte, committed i
 			panic(err)
 		}
 	}
-
-	n := len(c.Hosts)
-	done := make([]int, n)
-	for hi, h := range c.Hosts {
-		hi, h := hi, h
-		ep := h.Endpoint()
-		rng := sim.NewRNG(seed).Fork(uint64(hi))
-		far := c.FAMs[(hi+cfg.FAMs/2)%cfg.FAMs].ID()
-		// With FAMs == Switches and round-robin spreading, FAM hi%FAMs
-		// sits on the host's own switch — the pod-local target.
-		local := c.FAMs[hi%cfg.FAMs].ID()
-		h.Engine().Go(h.Name(), func(p *sim.Proc) {
-			p.Sleep(sim.Time(1 + hi*7919)) // prime-staggered start, in ps
-			for op := 0; op < cfg.OpsPerHost; op++ {
-				target := far
-				if cfg.LocalEvery > 1 && op%cfg.LocalEvery != cfg.LocalEvery-1 {
-					target = local
-				}
-				pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: target,
-					Addr: uint64(rng.Intn(1<<16)) * 64, ReqLen: 64}
-				if op%3 == 2 {
-					pkt.Op, pkt.ReqLen, pkt.Size = flit.OpMemWr, 0, 64
-				}
-				if _, err := ep.RequestRetry(pkt, 3, 20*sim.Microsecond).Await(p); err == nil {
-					done[hi]++
-				}
-				p.Sleep(sim.Time(200+rng.Intn(800)) * sim.Nanosecond)
-			}
-		})
-	}
+	done := scaleWorkload(c, seed, cfg.OpsPerHost, cfg.LocalEvery)
 	c.Run()
 
 	for _, d := range done {

@@ -17,6 +17,11 @@ const (
 	// TopoDragonfly is a two-level direct network: fully-meshed router
 	// groups joined by one global link per group pair (diameter ≤ 3).
 	TopoDragonfly
+	// TopoChain is a chain of pods: Groups groups of Pods switches, each
+	// group a line, each group's last switch linked to the next group's
+	// first, the group line closed into a ring from three groups on. One
+	// group is a plain line of switches; groups of one switch are a ring.
+	TopoChain
 )
 
 // String names the topology kind.
@@ -26,6 +31,8 @@ func (k TopoKind) String() string {
 		return "fat-tree"
 	case TopoDragonfly:
 		return "dragonfly"
+	case TopoChain:
+		return "chain"
 	default:
 		return fmt.Sprintf("TopoKind(%d)", uint8(k))
 	}
@@ -40,30 +47,32 @@ type TopoSpec struct {
 	// fan-out: fat-tree tiers branch in k/2s; a dragonfly router's
 	// intra-group mesh plus global channels must fit in k. Endpoint
 	// attachment is not capped by Radix — oversubscribed edges are a
-	// modeling choice, not an error.
+	// modeling choice, not an error. Ignored for a chain.
 	Radix int
 
 	// Tiers is the fat-tree depth: 2 (leaf–spine) or 3 (pods + core).
-	// Ignored for dragonfly. Default 3.
+	// Ignored for other kinds. Default 3.
 	Tiers int
 
 	// Pods is, for a 3-tier fat-tree, the pod count (1..Radix: each
 	// core switch spends one port per pod); for a 2-tier fat-tree the
 	// leaf count (2..Radix, default Radix); for a dragonfly the routers
-	// per group (default Radix/2).
+	// per group (default Radix/2); for a chain the switches per group
+	// (default 1).
 	Pods int
 
 	// Groups is the dragonfly group count (default Pods+1 — one global
-	// channel per router). Ignored for fat-trees.
+	// channel per router) or the chain group count (default 1). Ignored
+	// for fat-trees.
 	Groups int
 
 	// ISLConfig builds intra-pod / intra-group links (nil =
 	// link.DefaultConfig).
 	ISLConfig func() link.Config
 
-	// LongHaulConfig builds the long links — aggregation↔core and
-	// dragonfly global — (nil = ISLConfig). Raising its propagation
-	// models cross-row optics, and under sharding widens the
+	// LongHaulConfig builds the long links — aggregation↔core, dragonfly
+	// global and chain group-to-group — (nil = ISLConfig). Raising its
+	// propagation models cross-row optics, and under sharding widens the
 	// coordinator's discovered lookahead for cuts riding those links.
 	LongHaulConfig func() link.Config
 }
@@ -75,7 +84,7 @@ type Topology struct {
 	Spec TopoSpec
 	All  []*Switch
 	// Edge is the endpoint-attachment tier: fat-tree edge/leaf
-	// switches, every router for a dragonfly.
+	// switches, every router for a dragonfly, every switch of a chain.
 	Edge []*Switch
 	Agg  []*Switch // 3-tier fat-tree aggregation switches
 	Core []*Switch // fat-tree core/spine switches
@@ -131,6 +140,11 @@ func (s TopoSpec) normalized() (TopoSpec, error) {
 			return s, fmt.Errorf("fabric: dragonfly router degree %d (mesh %d + global %d) exceeds radix %d",
 				a-1+h, a-1, h, s.Radix)
 		}
+	case TopoChain:
+		if s.Pods < 0 || s.Groups < 0 {
+			return s, fmt.Errorf("fabric: chain needs non-negative Pods and Groups, got %d and %d", s.Pods, s.Groups)
+		}
+		s.Pods, s.Groups = max(s.Pods, 1), max(s.Groups, 1)
 	default:
 		return s, fmt.Errorf("fabric: unknown topology kind %v", s.Kind)
 	}
@@ -152,9 +166,11 @@ func (s TopoSpec) Counts() (switches, isls int, err error) {
 			return s.Pods + half, s.Pods * half, nil
 		}
 		return s.Pods*s.Radix + half*half, 2 * s.Pods * half * half, nil
-	default: // TopoDragonfly
+	case TopoDragonfly:
 		a, g := s.Pods, s.Groups
 		return a * g, g*a*(a-1)/2 + g*(g-1)/2, nil
+	default: // TopoChain
+		return s.Groups * s.Pods, s.Groups*(s.Pods-1) + chainHops(s.Groups), nil
 	}
 }
 
@@ -178,11 +194,14 @@ func Generate(b *Builder, spec TopoSpec, scfg SwitchConfig) (*Topology, error) {
 	}
 	topo := &Topology{Spec: spec}
 	start := len(b.switches)
-	if spec.Kind == TopoDragonfly {
+	switch {
+	case spec.Kind == TopoChain:
+		err = generateChain(b, spec, scfg, lcfg, hcfg, topo)
+	case spec.Kind == TopoDragonfly:
 		err = generateDragonfly(b, spec, scfg, lcfg, hcfg, topo)
-	} else if spec.Tiers == 2 {
+	case spec.Tiers == 2:
 		err = generateLeafSpine(b, spec, scfg, lcfg, topo)
-	} else {
+	default:
 		err = generateFatTree3(b, spec, scfg, lcfg, hcfg, topo)
 	}
 	if err != nil {
@@ -297,6 +316,44 @@ func generateDragonfly(b *Builder, spec TopoSpec, scfg SwitchConfig, lcfg, hcfg 
 			if err := b.ConnectSwitches(ri, rj, hcfg()); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// chainHops is a chain's group-to-group link count: a line of groups,
+// closed into a ring from three groups on (two groups get one link, not
+// two parallel ones).
+func chainHops(groups int) int {
+	if groups >= 3 {
+		return groups
+	}
+	return groups - 1
+}
+
+// generateChain builds Groups groups of Pods switches named fs0, fs1, …
+// in group order, links each group into a line over ISLConfig, then
+// links group g's last switch to group g+1's first over LongHaulConfig,
+// the last group wrapping to group 0 when there are three or more. The
+// intra-group links come first: a line (one group) and a ring (groups of
+// one switch) number their links and ports in line order, with the
+// closing link last.
+func generateChain(b *Builder, spec TopoSpec, scfg SwitchConfig, lcfg, hcfg func() link.Config, topo *Topology) error {
+	g, p := spec.Groups, spec.Pods
+	for i := 0; i < g*p; i++ {
+		topo.Edge = append(topo.Edge, b.AddSwitch(fmt.Sprintf("fs%d", i), scfg))
+	}
+	for i := 1; i < g*p; i++ {
+		if i%p != 0 {
+			if err := b.ConnectSwitches(topo.Edge[i-1], topo.Edge[i], lcfg()); err != nil {
+				return err
+			}
+		}
+	}
+	for gi := 0; gi < chainHops(g); gi++ {
+		last, first := topo.Edge[gi*p+p-1], topo.Edge[(gi+1)%g*p]
+		if err := b.ConnectSwitches(last, first, hcfg()); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -160,6 +160,113 @@ func TestDragonflyInvariants(t *testing.T) {
 	}
 }
 
+// TestChainInvariants checks the chain generator over Groups 1–4 ×
+// Pods 1–3: Counts matches what Generate builds (buildTopo checks it),
+// switches are named fs0, fs1, … in group order, every intra-group link
+// is a line step and comes before every group-to-group link, each
+// group's last switch links to the next group's first, the group line
+// closes into a ring only from three groups on (two groups get one
+// link), and PodSwitches(g) is group g.
+func TestChainInvariants(t *testing.T) {
+	for g := 1; g <= 4; g++ {
+		for p := 1; p <= 3; p++ {
+			b, topo := buildTopo(t, TopoSpec{Kind: TopoChain, Groups: g, Pods: p}, g*p)
+			for i, sw := range topo.All {
+				if want := fmt.Sprintf("fs%d", i); sw.name != want || topo.Edge[i] != sw {
+					t.Fatalf("%dx%d: switch %d is %s (edge %v), want %s on the edge tier", g, p, i, sw.name, topo.Edge[i] == sw, want)
+				}
+			}
+			intra, hops := 0, 0
+			for li, l := range b.links {
+				ga, gb := l.a.idx/p, l.b.idx/p
+				switch {
+				case ga == gb && hops > 0:
+					t.Fatalf("%dx%d: intra-group link %d (%s) after a group-to-group link", g, p, li, l.link.FaultID())
+				case ga == gb && l.b.idx != l.a.idx+1:
+					t.Fatalf("%dx%d: intra-group link %s is not a line step", g, p, l.link.FaultID())
+				case ga == gb:
+					intra++
+				case l.a.idx != ga*p+p-1 || l.b.idx != (ga+1)%g*p:
+					t.Fatalf("%dx%d: group-to-group link %s does not join a group's last switch to the next group's first", g, p, l.link.FaultID())
+				default:
+					hops++
+				}
+			}
+			wantHops := g - 1
+			if g >= 3 {
+				wantHops = g
+			}
+			if intra != g*(p-1) || hops != wantHops {
+				t.Fatalf("%dx%d: %d intra-group and %d group-to-group links, want %d and %d", g, p, intra, hops, g*(p-1), wantHops)
+			}
+			for gi := 0; gi < g; gi++ {
+				pod := topo.PodSwitches(gi)
+				if len(pod) != p || pod[0] != topo.All[gi*p] || pod[p-1] != topo.All[gi*p+p-1] {
+					t.Fatalf("%dx%d: PodSwitches(%d) is not group %d", g, p, gi, gi)
+				}
+			}
+		}
+	}
+
+	// Groups of one switch are a ring: the opposite switch of a 4-ring
+	// is 2 hops away in both directions.
+	b, topo := buildTopo(t, TopoSpec{Kind: TopoChain, Groups: 4, Pods: 1}, 4)
+	if hops, width := hopsAndWidth(t, b, topo.Edge[0], b.attached[2]); hops != 2 || width != 2 {
+		t.Fatalf("4-ring opposite switch: hops=%d width=%d, want 2, 2", hops, width)
+	}
+}
+
+// TestShardedBuilderCutsContiguousBlocks checks the sharded builder's
+// domain map: switch i of n lands in domain i*Shards/n, endpoints join
+// their switch's domain and engine, only block-boundary links cross
+// domains, and Discover sets each joined pair's lookahead to the
+// propagation of its cut links.
+func TestShardedBuilderCutsContiguousBlocks(t *testing.T) {
+	lc := link.DefaultConfig()
+	co := sim.NewCoordinator(3, lc.Phys.Propagation)
+	b := NewShardedBuilder(co, 5)
+	topo, err := Generate(b, TopoSpec{Kind: TopoChain, Groups: 5, Pods: 1}, DefaultSwitchConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDom := []int{0, 0, 1, 1, 2}
+	for i, sw := range topo.All {
+		att, err := b.AttachEndpoint(sw, fmt.Sprintf("ep%d", i), RoleHost, lc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if att.Domain != wantDom[i] || att.Eng != co.Engine(wantDom[i]) {
+			t.Fatalf("ep%d on %s: domain %d, want %d on its engine", i, sw.name, att.Domain, wantDom[i])
+		}
+	}
+	if err := b.Discover(); err != nil {
+		t.Fatal(err)
+	}
+	wantSides := map[string][2]int{
+		"fs0<->fs1": {0, 0}, "fs1<->fs2": {0, 1}, "fs2<->fs3": {1, 1},
+		"fs3<->fs4": {1, 2}, "fs4<->fs0": {2, 0},
+	}
+	for _, l := range b.ISLLinks() {
+		da, db, ok := b.LinkSideDomains(l)
+		if want := wantSides[l.FaultID()]; !ok || [2]int{da, db} != want {
+			t.Fatalf("%s sides in domains %d, %d, want %v", l.FaultID(), da, db, want)
+		}
+	}
+	for src := 0; src < 3; src++ {
+		for dst := 0; dst < 3; dst++ {
+			if la := co.Lookahead(src, dst); src != dst && la != lc.Phys.Propagation {
+				t.Fatalf("lookahead %d->%d = %v, want %v", src, dst, la, lc.Phys.Propagation)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a sixth switch on a builder sized for five did not panic")
+		}
+	}()
+	b.AddSwitch("fs5", DefaultSwitchConfig())
+}
+
 // routedDiameter computes the switch-graph diameter from the route
 // engine's stored distance vectors (every home was BFS'd at Discover).
 func routedDiameter(b *Builder) int {
@@ -184,6 +291,8 @@ func TestTopoSpecValidation(t *testing.T) {
 		{Kind: TopoFatTree, Radix: 4, Tiers: 3, Pods: 9}, // pods > radix
 		{Kind: TopoDragonfly, Radix: 2, Pods: 8},         // degree > radix
 		{Kind: TopoDragonfly, Radix: 8, Pods: 4, Groups: 1},
+		{Kind: TopoChain, Groups: 2, Pods: -1},
+		{Kind: TopoChain, Groups: -1, Pods: 2},
 		{Kind: TopoKind(99)},
 	}
 	for i, spec := range bad {
@@ -195,5 +304,9 @@ func TestTopoSpecValidation(t *testing.T) {
 	nsw, nisl, err := (TopoSpec{Kind: TopoFatTree, Tiers: 3, Radix: 8, Pods: 6}).Counts()
 	if err != nil || nsw != 64 || nisl != 192 {
 		t.Fatalf("64sw fat-tree Counts = %d, %d, %v; want 64, 192, nil", nsw, nisl, err)
+	}
+	// A chain's zero Groups and Pods mean one: a single switch.
+	if nsw, nisl, err := (TopoSpec{Kind: TopoChain}).Counts(); err != nil || nsw != 1 || nisl != 0 {
+		t.Fatalf("zero chain Counts = %d, %d, %v; want 1, 0, nil", nsw, nisl, err)
 	}
 }

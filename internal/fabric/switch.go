@@ -46,8 +46,9 @@ type Switch struct {
 	name string
 	cfg  SwitchConfig
 	// idx is the switch's creation index in its Builder — the dense key
-	// the route engine uses instead of a map[*Switch]int.
-	idx int
+	// the route engine uses instead of a map[*Switch]int — and dom its
+	// failure domain (always 0 on an unsharded builder).
+	idx, dom int
 
 	ports []*swPort
 

@@ -83,23 +83,13 @@ type Builder struct {
 	// distance vectors for incremental fault repair.
 	re routeEngine
 
-	// Sharded assembly (nil for the classic single-engine fabric): each
-	// switch and its attached endpoints live in one failure domain with
-	// a private engine; inter-switch links whose ends fall in different
-	// domains become cross-shard links synchronized by the coordinator.
-	shard    *Sharding
-	swDomain map[*Switch]int
-}
-
-// Sharding partitions a fabric across the failure domains of a
-// Coordinator. DomainOf maps a switch's creation index (the order of
-// AddSwitch calls) to its domain; endpoints inherit their home switch's
-// domain, which makes a domain exactly "a switch plus its attached
-// endpoints" (or a contiguous group of switches when there are more
-// switches than shards).
-type Sharding struct {
-	Coord    *sim.Coordinator
-	DomainOf func(switchIdx int) int
+	// Sharded assembly (coord nil for the classic single-engine fabric):
+	// each switch and its attached endpoints live in one failure domain
+	// with a private engine; inter-switch links whose ends fall in
+	// different domains become cross-shard links synchronized by the
+	// coordinator. nsw is the switch count the domains are cut from.
+	coord *sim.Coordinator
+	nsw   int
 }
 
 // isl is an inter-switch link record.
@@ -135,45 +125,25 @@ func (b *Builder) Reserve(switches, isls, endpoints int) {
 	}
 }
 
-// NewShardedBuilder returns a topology partitioned across sh's domains.
-// The builder's base engine is domain 0's; every switch and endpoint is
-// created on its own domain's engine.
-func NewShardedBuilder(sh Sharding) *Builder {
-	return &Builder{
-		eng:      sh.Coord.Engine(0),
-		shard:    &sh,
-		swDomain: make(map[*Switch]int),
-	}
-}
-
-// Domain reports the failure domain a switch was assigned to (0 on an
-// unsharded builder).
-func (b *Builder) Domain(sw *Switch) int {
-	if b.shard == nil {
-		return 0
-	}
-	return b.swDomain[sw]
-}
-
-// engineFor returns the engine a switch's domain runs on.
-func (b *Builder) engineFor(sw *Switch) *sim.Engine {
-	if b.shard == nil {
-		return b.eng
-	}
-	return b.shard.Coord.Engine(b.swDomain[sw])
+// NewShardedBuilder returns a topology of the given number of switches
+// partitioned across coord's failure domains in contiguous blocks:
+// switch i (in AddSwitch order) lands in domain i*Shards/switches, so
+// only block boundaries cut, and endpoints join their home switch's
+// domain. The builder's base engine is domain 0's; every switch and
+// endpoint is created on its own domain's engine.
+func NewShardedBuilder(coord *sim.Coordinator, switches int) *Builder {
+	return &Builder{eng: coord.Engine(0), coord: coord, nsw: switches}
 }
 
 // AddSwitch creates a switch (on its domain's engine when sharded).
 func (b *Builder) AddSwitch(name string, cfg SwitchConfig) *Switch {
-	eng := b.eng
-	var dom int
-	if b.shard != nil {
-		dom = b.shard.DomainOf(len(b.switches))
-		if dom < 0 || dom >= b.shard.Coord.Shards() {
-			panic(fmt.Sprintf("fabric: DomainOf(%d) = %d out of range [0,%d)",
-				len(b.switches), dom, b.shard.Coord.Shards()))
+	eng, dom := b.eng, 0
+	if b.coord != nil {
+		if len(b.switches) >= b.nsw {
+			panic(fmt.Sprintf("fabric: sharded builder was sized for %d switches", b.nsw))
 		}
-		eng = b.shard.Coord.Engine(dom)
+		dom = len(b.switches) * b.coord.Shards() / b.nsw
+		eng = b.coord.Engine(dom)
 	}
 	var sw *Switch
 	if len(b.swArena) < cap(b.swArena) {
@@ -183,11 +153,8 @@ func (b *Builder) AddSwitch(name string, cfg SwitchConfig) *Switch {
 		sw = new(Switch)
 	}
 	initSwitch(sw, eng, name, cfg)
-	sw.idx = len(b.switches)
+	sw.idx, sw.dom = len(b.switches), dom
 	b.switches = append(b.switches, sw)
-	if b.shard != nil {
-		b.swDomain[sw] = dom
-	}
 	return sw
 }
 
@@ -201,16 +168,15 @@ func (b *Builder) ConnectSwitches(x, y *Switch, cfg link.Config) error {
 	name := fmt.Sprintf("%s<->%s", x.name, y.name)
 	var l *link.Link
 	var err error
-	if dx, dy := b.Domain(x), b.Domain(y); b.shard != nil && dx != dy {
-		co := b.shard.Coord
+	if x.dom != y.dom {
+		co := b.coord
 		if cfg.Phys.Propagation < co.Window() {
 			return fmt.Errorf("fabric: cross-domain link %s propagation %v below the coordinator lookahead window %v",
 				name, cfg.Phys.Propagation, co.Window())
 		}
-		l, err = link.NewCross(name, cfg, co.Engine(dx), co.Engine(dy),
-			co.Mailbox(dx, dy), co.Mailbox(dy, dx))
+		l, err = link.NewCross(name, cfg, x.eng, y.eng, co.Mailbox(x.dom, y.dom), co.Mailbox(y.dom, x.dom))
 	} else {
-		l, err = link.New(b.engineFor(x), name, cfg)
+		l, err = link.New(x.eng, name, cfg)
 	}
 	if err != nil {
 		return err
@@ -236,8 +202,7 @@ func (b *Builder) AttachEndpoint(sw *Switch, name string, role Role, cfg link.Co
 	if b.nextID > flit.MaxPortID {
 		return nil, fmt.Errorf("fabric: PBR ID space exhausted (12-bit, max %d endpoints)", flit.MaxPortID+1)
 	}
-	eng := b.engineFor(sw)
-	l, err := link.New(eng, fmt.Sprintf("%s<->%s", name, sw.name), cfg)
+	l, err := link.New(sw.eng, fmt.Sprintf("%s<->%s", name, sw.name), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -257,8 +222,8 @@ func (b *Builder) AttachEndpoint(sw *Switch, name string, role Role, cfg link.Co
 		Link:       l,
 		Switch:     sw,
 		SwitchPort: swPortIdx,
-		Domain:     b.Domain(sw),
-		Eng:        eng,
+		Domain:     sw.dom,
+		Eng:        sw.eng,
 	}
 	b.nextID++
 	b.attached = append(b.attached, att)
@@ -276,7 +241,7 @@ func (b *Builder) Discover() error {
 		return fmt.Errorf("fabric: no endpoints attached")
 	}
 	b.InstallRoutesFull(DeadSet{})
-	if b.shard != nil {
+	if b.coord != nil {
 		b.installLookahead()
 	}
 	b.discovered = true
@@ -295,11 +260,11 @@ func (b *Builder) Discover() error {
 // cut link at all can never exchange a message and are released to
 // sim.MaxTime so they impose no coupling.
 func (b *Builder) installLookahead() {
-	co := b.shard.Coord
+	co := b.coord
 	n := co.Shards()
 	min := make([]sim.Time, n*n) // 0 = no cut link seen for the pair
 	for _, l := range b.links {
-		da, db := b.Domain(l.a), b.Domain(l.b)
+		da, db := l.a.dom, l.b.dom
 		if da == db {
 			continue
 		}
@@ -834,7 +799,7 @@ func (b *Builder) RouteTableDump() string {
 func (b *Builder) LinkSideDomains(l *link.Link) (da, db int, ok bool) {
 	for _, rec := range b.links {
 		if rec.link == l {
-			return b.Domain(rec.a), b.Domain(rec.b), true
+			return rec.a.dom, rec.b.dom, true
 		}
 	}
 	for _, att := range b.attached {
