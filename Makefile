@@ -116,10 +116,14 @@ fuzz-smoke:
 fccperf-smoke:
 	cd cmd/fccperf && $(GO) test -count=1 ./...
 
-# examples-smoke builds and runs every example end to end; each is a
-# short deterministic simulation, so a non-zero exit is a real break.
+# examples-smoke builds and runs every example end to end, then the two
+# cmd tools that build clusters through fcc.New (fabtop with a traced
+# read across three switches, fabsim at its defaults); each is a short
+# deterministic simulation, so a non-zero exit is a real break.
 examples-smoke:
 	@for d in examples/*/; do \
 		echo "== $$d"; \
 		$(GO) run ./$$d > /dev/null || exit 1; \
 	done
+	@echo "== cmd/fabtop"; $(GO) run ./cmd/fabtop -trace -switches 3 -fams 3 > /dev/null
+	@echo "== cmd/fabsim"; $(GO) run ./cmd/fabsim > /dev/null

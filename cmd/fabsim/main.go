@@ -4,28 +4,55 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"os"
 
 	"fcc"
 	"fcc/internal/flit"
+	"fcc/internal/link"
 	"fcc/internal/sim"
 )
+
+// checkFlags rejects the flag values the scenario cannot run: it needs a
+// host and a FAM, a payload one packet carries, and at least one request
+// per host and in flight.
+func checkFlags(hosts, fams, size, window, ops int) error {
+	switch {
+	case hosts < 1:
+		return errors.New("-hosts must be at least 1")
+	case fams < 1:
+		return errors.New("-fams must be at least 1")
+	case size < 1 || size > link.MaxPacketPayload:
+		return fmt.Errorf("-size must be 1..%d bytes, got %d", link.MaxPacketPayload, size)
+	case window < 1:
+		return errors.New("-window must be at least 1")
+	case ops < 1:
+		return errors.New("-ops must be at least 1")
+	}
+	return nil
+}
 
 func main() {
 	hosts := flag.Int("hosts", 4, "number of hosts issuing traffic")
 	fams := flag.Int("fams", 1, "number of FAM chassis")
-	size := flag.Int("size", 64, "request payload bytes (<=512)")
+	size := flag.Int("size", 64, "request payload bytes (1..512)")
 	window := flag.Int("window", 8, "outstanding requests per host")
 	reads := flag.Bool("reads", true, "issue reads (false: writes)")
 	ops := flag.Int("ops", 2000, "requests per host")
 	flag.Parse()
+	if err := checkFlags(*hosts, *fams, *size, *window, *ops); err != nil {
+		fmt.Fprintln(os.Stderr, "fabsim:", err)
+		os.Exit(2)
+	}
 
 	c, err := fcc.New(fcc.Config{
 		Hosts: *hosts, FAMs: *fams, FAMCapacity: 1 << 30,
 	})
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(os.Stderr, "fabsim:", err)
+		os.Exit(1)
 	}
 	lat := sim.NewHistogram()
 	done := 0

@@ -6,13 +6,27 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"os"
 
 	"fcc"
 	"fcc/internal/sim"
 	"fcc/internal/telemetry"
 )
+
+// checkFlags rejects the flag values fabtop cannot run: a cluster needs
+// a host, and the traced read needs a FAM to read from.
+func checkFlags(hosts, fams int, trace bool) error {
+	switch {
+	case hosts < 1:
+		return errors.New("-hosts must be at least 1")
+	case trace && fams < 1:
+		return errors.New("-trace reads from a FAM: -fams must be at least 1")
+	}
+	return nil
+}
 
 func main() {
 	hosts := flag.Int("hosts", 2, "host servers")
@@ -23,6 +37,10 @@ func main() {
 	arb := flag.Bool("arbiter", true, "central fabric arbiter")
 	trace := flag.Bool("trace", false, "run one remote read and print its hop-by-hop flit trace")
 	flag.Parse()
+	if err := checkFlags(*hosts, *fams, *trace); err != nil {
+		fmt.Fprintln(os.Stderr, "fabtop:", err)
+		os.Exit(2)
+	}
 
 	cfg := fcc.Config{
 		Hosts: *hosts, FAMs: *fams, FAAs: *faas, FAMCapacity: 1 << 30,
@@ -33,7 +51,8 @@ func main() {
 	}
 	c, err := fcc.New(cfg)
 	if err != nil {
-		panic(err)
+		fmt.Fprintln(os.Stderr, "fabtop:", err)
+		os.Exit(1)
 	}
 	fmt.Print(c.Render())
 	fmt.Println("\nFlex Bus layering (Figure 1a):")
