@@ -12,12 +12,12 @@ import (
 // imports — in sim-facing code: package fcc/internal/sim itself and any
 // file importing it. The engine's contract is one event at a time per
 // shard; the ONLY sanctioned cross-engine machinery is the coordinator
-// (internal/sim/shard.go), its spin-then-park barrier
-// (internal/sim/barrier.go), and the engine/proc handoff internals,
-// which opt out with a `//fcclint:conc <reason>` file tag. Anything else
-// using raw goroutines against engine state is a determinism bug
-// waiting for a -race run to find it: cross-shard traffic must go
-// through a sim.Mailbox, and in-shard code simply schedules events.
+// (internal/sim/shard.go) and its spin-then-park barrier
+// (internal/sim/barrier.go), which opt out with a `//fcclint:conc
+// <reason>` file tag. Anything else using raw goroutines against engine
+// state is a determinism bug waiting for a -race run to find it:
+// cross-shard traffic must go through a sim.Mailbox, and in-shard code
+// simply schedules events.
 // cmd/ binaries are exempted via .fcclint.allow (they orchestrate whole
 // private simulations per worker, never sharing one).
 func Concban() *Analyzer {
@@ -35,8 +35,8 @@ func Concban() *Analyzer {
 			}
 			// sync/atomic primitives are the same hazard as channels in
 			// sim-facing code: shared mutable state across engine
-			// goroutines. The sanctioned users (the coordinator's barrier,
-			// engine/proc internals) carry the //fcclint:conc tag.
+			// goroutines. The sanctioned users (the coordinator and its
+			// barrier) carry the //fcclint:conc tag.
 			for _, imp := range f.Imports {
 				path, err := strconv.Unquote(imp.Path.Value)
 				if err != nil {

@@ -14,18 +14,13 @@ import (
 // time.Sleep) deadlocks the whole simulation. The analyzer flags those
 // operations in any function that takes a *sim.Proc parameter. Nested
 // function literals are examined on their own (they only fall under
-// the contract if they themselves take a *sim.Proc), and the sim
-// package itself — which implements the yield machinery out of real
-// channels — is exempt.
+// the contract if they themselves take a *sim.Proc).
 func Procblock() *Analyzer {
 	a := &Analyzer{
 		Name: "procblock",
 		Doc:  "flag real blocking operations inside *sim.Proc process bodies",
 	}
 	a.Run = func(pass *Pass) {
-		if pass.Pkg.Path == simPkgPath {
-			return
-		}
 		check := func(c *Cursor) {
 			p := pass.Pkg
 			var sig *types.Signature

@@ -96,10 +96,9 @@ func BenchmarkEngineScheduleFireHeap(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkProcSwitch measures coroutine process handoff cost. In the
-// steady state the sleeping process's own wake-up is the next pending
-// event, so the fast path consumes it in place: no goroutine switch and
-// no allocation per yield.
+// BenchmarkProcSwitch measures a process yield that never switches: the
+// sleeping process's own wake-up is the next pending event, so it
+// consumes it in place, with no coroutine switch and no allocation.
 func BenchmarkProcSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Go("spinner", func(p *Proc) {
@@ -113,8 +112,9 @@ func BenchmarkProcSwitch(b *testing.B) {
 }
 
 // BenchmarkProcSwitchPair measures handoff between two alternating
-// processes — the genuine goroutine-switch path (each yield hands the
-// dispatch token directly to the peer).
+// processes — the genuine switch path: each yield returns to the
+// dispatch loop, which pops the peer's wake-up and resumes it, two
+// coroutine switches per op.
 func BenchmarkProcSwitchPair(b *testing.B) {
 	e := NewEngine()
 	spin := func(p *Proc) {
@@ -131,7 +131,7 @@ func BenchmarkProcSwitchPair(b *testing.B) {
 
 // BenchmarkProcSpawn measures spawn-to-completion of short-lived
 // processes. The runner free list makes the steady state cost one Proc
-// allocation — no goroutine or channel construction per spawn.
+// allocation — no coroutine construction per spawn.
 func BenchmarkProcSpawn(b *testing.B) {
 	e := NewEngine()
 	body := func(p *Proc) {}
@@ -153,7 +153,7 @@ func BenchmarkProcSpawn(b *testing.B) {
 // BenchmarkProcWakeMany measures the nested wake every model built on
 // futures makes: 64 processes parked in Future.Await, completed one at a
 // time from callback events. Each completion resumes its waiter inside
-// the callback, which parks again on a fresh future: two goroutine
+// the callback, which parks again on a fresh future: two coroutine
 // switches per op, with 63 other runners parked throughout.
 func BenchmarkProcWakeMany(b *testing.B) {
 	const procs = 64

@@ -11,7 +11,7 @@ import (
 // run fully deterministic.
 //
 // Engine is not safe for concurrent use. Processes started with Go run on
-// goroutines but are resumed strictly one at a time (see proc.go), so
+// coroutines and are resumed strictly one at a time (see proc.go), so
 // model code never needs locks. Parallelism across *simulations* (e.g.
 // fccbench -seeds/-parallel) is safe because each seed owns a private
 // Engine.
@@ -41,7 +41,6 @@ import (
 type Engine struct {
 	now     Time
 	seq     uint64
-	running bool
 	stopped bool
 
 	// cur is the active dispatch list: all pending events with at <
@@ -69,15 +68,13 @@ type Engine struct {
 	// (live processes but an empty event queue).
 	procs int
 
-	// mainHand parks the Run caller while a process holds the dispatch
-	// token; freeRunner pools runner goroutines for reuse across
-	// processes (drained when Run returns). driveLimit is the active
-	// Run/RunUntil horizon, read by takeProcEvent on process goroutines.
-	mainHand   handoff
+	// freeRunner pools process runners for reuse across processes
+	// (drained when Run returns). driveLimit is the active Run/RunUntil
+	// horizon, read by takeOwnWake when a process pauses.
 	freeRunner *runner
 	driveLimit Time
-	// runnersMinted counts runner goroutine constructions, so tests can
-	// pin the free list's reuse guarantee.
+	// runnersMinted counts runner constructions (one iter.Pull
+	// coroutine each), so tests can pin the free list's reuse guarantee.
 	runnersMinted int
 
 	// EventLimit, when >0, aborts Run with a panic after that many events.
@@ -100,8 +97,8 @@ const (
 
 // Event kinds. kindProc events resume a process (arg holds the *Proc);
 // they are recognized by the dispatch core so a pausing process can
-// consume the next resume directly instead of bouncing through the Run
-// caller's goroutine (see proc.go "Handoff structure").
+// consume its own next resume in place instead of yielding to the
+// dispatch loop (see proc.go "Handoff structure").
 const (
 	kindFn uint8 = iota
 	kindAfn
@@ -137,7 +134,7 @@ func eventCmp(a, b *event) int {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{curEnd: bucketWidth, mainHand: newHandoff()}
+	return &Engine{curEnd: bucketWidth}
 }
 
 // Now reports the current virtual time.
@@ -401,7 +398,7 @@ func (e *Engine) pop() *event {
 
 // Step fires the earliest pending event, advancing the clock to its
 // timestamp. It reports false when no events are pending. A process
-// resume runs synchronously: Step blocks until the process pauses.
+// resume runs synchronously: Step returns when the process pauses.
 func (e *Engine) Step() bool {
 	if e.curIdx == len(e.cur) && !e.refill() {
 		return false
@@ -414,9 +411,7 @@ func (e *Engine) Step() bool {
 	case kindProc:
 		p := ev.arg.(*Proc)
 		e.release(ev)
-		if !p.done {
-			p.resumeBlocking()
-		}
+		p.resumeBlocking()
 	case kindFn:
 		fn := ev.fn
 		e.release(ev)
@@ -429,28 +424,26 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// driveTo fires callback events in order until the next pending event is
-// a live process resume (returned, already popped), the horizon or queue
-// is exhausted, or Stop is called. Runs only on the Run caller's
-// goroutine: every non-process callback fires here, while all process
-// goroutines are parked.
-func (e *Engine) driveTo(limit Time) *Proc {
+// driveTo is the dispatch loop: it fires events in order until the
+// horizon or queue is exhausted, or Stop is called. A process resume
+// switches to the process until it yields back here; a stale wake-up of
+// a finished process is a no-op.
+func (e *Engine) driveTo(limit Time) {
 	for !e.stopped {
 		if e.curIdx == len(e.cur) && !e.refill() {
-			return nil
+			return
 		}
 		if e.cur[e.curIdx].at > limit {
-			return nil
+			return
 		}
 		ev := e.pop()
 		switch ev.kind {
 		case kindProc:
 			p := ev.arg.(*Proc)
 			e.release(ev)
-			if p.done {
-				continue // stale wake-up of a finished process
+			if !p.done {
+				p.resume(true)
 			}
-			return p
 		case kindFn:
 			fn := ev.fn
 			e.release(ev)
@@ -461,57 +454,39 @@ func (e *Engine) driveTo(limit Time) *Proc {
 			afn(arg)
 		}
 	}
-	return nil
 }
 
-// takeProcEvent consumes the next pending event if and only if it is a
-// live process resume within the drive horizon. Called by a pausing
-// process that holds the dispatch token (the Run caller is parked), so
-// it may mutate engine state freely. When the next event would exceed
-// EventLimit it declines, bouncing control to driveTo so the limit
-// panic fires on the Run caller's goroutine.
-func (e *Engine) takeProcEvent() (*Proc, bool) {
-	for {
-		if e.stopped {
-			return nil, false
-		}
-		if e.curIdx == len(e.cur) && !e.refill() {
-			return nil, false
-		}
-		ev := e.cur[e.curIdx]
-		if ev.kind != kindProc || ev.at > e.driveLimit {
-			return nil, false
-		}
-		if e.EventLimit > 0 && e.fired >= e.EventLimit {
-			return nil, false
-		}
-		p := ev.arg.(*Proc)
-		e.pop()
-		e.release(ev)
-		if p.done {
-			continue // stale wake-up of a finished process
-		}
-		return p, true
+// takeOwnWake consumes the next pending event if and only if it is p's
+// own resume within the drive horizon. Called by a pausing process that
+// the dispatch loop resumed, so firing the event in place is exactly
+// what the loop would do next. When the next event would exceed
+// EventLimit it declines, so the limit panic fires in driveTo.
+func (e *Engine) takeOwnWake(p *Proc) bool {
+	if e.stopped {
+		return false
 	}
+	if e.curIdx == len(e.cur) && !e.refill() {
+		return false
+	}
+	ev := e.cur[e.curIdx]
+	if ev.kind != kindProc || ev.arg != p || ev.at > e.driveLimit {
+		return false
+	}
+	if e.EventLimit > 0 && e.fired >= e.EventLimit {
+		return false
+	}
+	e.pop()
+	e.release(ev)
+	return true
 }
 
-// runLimit is the shared Run/RunUntil core: alternate between driving
-// callback events and granting the dispatch token to the next runnable
-// process, which gives it back via mainHand when no process resume is
-// immediately next.
+// runLimit is the shared Run/RunUntil core: drive events to the
+// horizon, then retire the idle runners.
 func (e *Engine) runLimit(limit Time) {
-	e.running, e.stopped = true, false
+	e.stopped = false
 	e.driveLimit = limit
-	for !e.stopped {
-		p := e.driveTo(limit)
-		if p == nil {
-			break
-		}
-		e.resume(p)
-		e.mainHand.wait()
-	}
+	e.driveTo(limit)
 	e.drainRunners()
-	e.running = false
 }
 
 // MaxTime is the largest schedulable virtual time (~107 days), used as

@@ -1,45 +1,45 @@
+//go:build go1.23
+
 package sim
 
 //fcclint:hotpath process handoff is the hottest non-event path (PR 5)
-//fcclint:conc proc handoff rendezvous with the engine main hand
+
+// iter.Pull is Go 1.23, but go.mod stays at go 1.22 because the nested
+// cmd/fccperf module pins it; the go1.23 build line raises this file's
+// language version instead (DESIGN.md "Proc handoff").
+import "iter"
 
 // Proc is a cooperatively scheduled simulation process. Each Proc runs on
-// its own goroutine, but the engine resumes exactly one process at a time
-// and blocks until that process either yields (Sleep/Await/Suspend) or
-// returns, so execution remains deterministic — processes are simply a
-// more convenient notation for sequential model code (workload drivers,
-// CPU threads, controller firmware) than chained callbacks.
+// a runtime coroutine (iter.Pull), and the engine resumes exactly one
+// process at a time and waits until that process either yields
+// (Sleep/Await/Suspend) or returns, so execution remains deterministic —
+// processes are simply a more convenient notation for sequential model
+// code (workload drivers, CPU threads, controller firmware) than chained
+// callbacks.
 //
 // # Handoff structure
 //
-// Control transfers use a park-only binary semaphore (handoff), and the
-// transfer topology is flattened so the common paths skip goroutine
-// switches entirely:
+// Resuming a process is the coroutine's next, and a pause is its yield,
+// which returns control to whoever resumed it: the dispatch loop
+// (driveTo), or the callback or process that woke it synchronously
+// (Future.finish, Suspend's wake, Step). Each is one direct coroswitch,
+// with no channel, park or scheduler pass.
 //
-//   - A process that sleeps and whose own wake-up is the next pending
-//     event consumes that event in place: zero goroutine switches
+//   - A process the dispatch loop resumed, whose own wake-up is the next
+//     pending event, consumes that event in place: no switch at all
 //     (the BenchmarkProcSwitch steady state).
-//   - A process that yields while another process's wake-up is next
-//     hands control directly to that process: one switch, not two
-//     (old: yield to engine, engine resumes peer).
-//   - Only when the next event is a plain callback (or the queue is
-//     empty/bounded) does control return to the Run caller's goroutine,
-//     which is the only goroutine that executes non-process events.
-//
-// A switch costs one channel send, one park and one scheduler pass: the
-// send makes the parked waiter runnable in the signalling P's runnext
-// slot, and the signaller's own wait parks at once, so the scheduler
-// runs the waiter next. Waits never spin first. Each yield of a spin
-// loop puts the waiting runner back on the global run queue; with up to
-// 16 yields before parking, a handoff cost 6.7–8.3 scheduler trips, and
-// goroutine scheduling was the largest cost in the fccperf ledger (47%
-// of farmem-stream's CPU).
+//   - Every other pause yields to its resumer. The dispatch loop then
+//     pops the next event, so a switch between two processes passes
+//     through it: process, dispatch loop, peer.
 //
 // Synchronous wakes from event context (Suspend/Await) keep their exact
 // blocking semantics — the woken process runs immediately, nested inside
-// the firing callback — so event and model execution order is unchanged
-// from the channel-based implementation (same-seed runs are
-// byte-identical across the two).
+// the firing callback — so event and model execution order is a pure
+// function of the schedule (TestProcInterleavingGolden pins it).
+//
+// A panic in a process body other than a Kill's unwinding is a model
+// bug. iter.Pull carries it to whoever resumed the process, so it
+// reaches the goroutine that called Run, RunUntil or Step.
 type Proc struct {
 	eng    *Engine
 	name   string
@@ -47,79 +47,53 @@ type Proc struct {
 	r      *runner
 	done   bool
 	killed bool
-	// nested marks that the current resume came from event context
-	// (resumeBlocking): the next pause must return control to the
-	// blocked caller, not to the dispatch loop.
-	nested bool
+	// dispatched marks that the current resume came from the dispatch
+	// loop, so a pause may consume the process's own next wake-up in
+	// place. A synchronous wake must instead return control to its
+	// caller.
+	dispatched bool
 }
 
-// handoff is a binary semaphore carrying the "exactly one goroutine
-// runs" token. Every wait parks immediately. The one slot of buffer lets
-// a signal land before its waiter arrives (a runner not yet at its
-// wait, or a waiter still running on another P), and strict alternation
-// (one token in flight per handoff) means signal never blocks. The
-// channel carries the happens-before edge for the race detector.
-type handoff chan struct{}
-
-func newHandoff() handoff { return make(handoff, 1) }
-
-// signal deposits the token, waking the parked waiter if there is one.
-func (h handoff) signal() { h <- struct{}{} }
-
-// wait parks until the token arrives and consumes it.
-func (h handoff) wait() { <-h }
-
-// runner is the goroutine + rendezvous pair a process executes on.
-// Runners are pooled on the engine: a short-lived workload thread costs
-// no goroutine or channel construction when a finished runner is free
-// (the pool is drained when Run returns, so idle engines hold no parked
-// goroutines beyond genuinely suspended processes).
+// runner is the coroutine a process executes on. Its loop runs one
+// process body after another, so runners are pooled on the engine: a
+// short-lived workload thread costs no coroutine construction when a
+// finished runner is free (the pool is drained when Run returns, so idle
+// engines hold no coroutines beyond genuinely suspended processes).
 type runner struct {
-	hand   handoff // resume: token granting this runner's proc the right to run
-	back   handoff // nested yield: proc -> blocked resumeBlocking caller
-	p      *Proc
-	retire bool
-	next   *runner // engine free list
+	next  func() (struct{}, bool) // resume the bound process
+	stop  func()                  // retire an idle runner
+	yield func(struct{}) bool     // return control to the resumer
+	p     *Proc
+	free  *runner // engine free list
 }
 
 func newRunner() *runner {
-	r := &runner{hand: newHandoff(), back: newHandoff()}
-	go runnerLoop(r)
+	r := &runner{}
+	r.next, r.stop = iter.Pull(func(yield func(struct{}) bool) {
+		r.yield = yield
+		for {
+			p := r.p
+			p.runBody()
+			p.finish()
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
 	return r
 }
 
-func runnerLoop(r *runner) {
-	for {
-		r.hand.wait()
-		if r.retire {
-			return
-		}
-		runBody(r.p)
-	}
-}
-
-// runBody executes one process body and routes control onward when it
-// returns or unwinds. A process killed before its first resume never
-// enters its body.
-func runBody(p *Proc) {
+// runBody executes one process body. A process killed before its first
+// resume never enters its body, and a Kill's unwinding stops here. Any
+// other panic is re-raised, so iter.Pull carries it to the resumer.
+func (p *Proc) runBody() {
 	defer func() {
 		if rec := recover(); rec != nil {
 			if _, ok := rec.(procKilled); !ok {
-				// A model panic: hand control back (so the engine side
-				// unblocks rather than wedging) and re-raise; the
-				// program is going down with the original value.
 				p.done = true
 				p.eng.procs--
-				if p.nested {
-					p.r.back.signal()
-				} else {
-					p.eng.mainHand.signal()
-				}
 				panic(rec)
 			}
-		}
-		if !p.done {
-			p.finish()
 		}
 	}()
 	if !p.killed {
@@ -141,13 +115,13 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// bind attaches a pooled (or new) runner goroutine to p.
+// bind attaches a pooled (or new) runner to p.
 func (p *Proc) bind() {
 	e := p.eng
 	r := e.freeRunner
 	if r != nil {
-		e.freeRunner = r.next
-		r.next = nil
+		e.freeRunner = r.free
+		r.free = nil
 	} else {
 		r = newRunner()
 		e.runnersMinted++
@@ -156,97 +130,57 @@ func (p *Proc) bind() {
 	p.r = r
 }
 
-// resume hands the run token to p, binding a runner on first resume.
-// The caller must immediately either park or return to model code.
-func (e *Engine) resume(p *Proc) {
+// resume runs p until it pauses or finishes, binding a runner on first
+// resume. dispatched records whether the dispatch loop is the resumer.
+func (p *Proc) resume(dispatched bool) {
 	if p.r == nil {
 		p.bind()
 	}
-	p.r.hand.signal()
+	p.dispatched = dispatched
+	p.r.next()
 }
 
-// resumeBlocking runs p from event context until it pauses or finishes,
-// blocking the calling goroutine — the synchronous wake used by
-// Suspend/Await and by Step. Resuming a finished process is a no-op: a
-// Kill and a pending wake-up can race benignly.
+// resumeBlocking runs p from event context until it pauses or finishes —
+// the synchronous wake used by Suspend/Await and by Step. Resuming a
+// finished process is a no-op: a Kill and a pending wake-up can race
+// benignly.
 func (p *Proc) resumeBlocking() {
-	if p.done {
-		return
+	if !p.done {
+		p.resume(false)
 	}
-	p.nested = true
-	if p.r == nil {
-		p.bind()
-	}
-	// Capture the runner before granting the token: the process may
-	// finish and detach p.r before we reach the wait.
-	r := p.r
-	r.hand.signal()
-	r.back.wait()
 }
 
 // finish retires a completed process: its runner returns to the engine
-// pool and control routes onward exactly as a pause would.
+// pool, and the runner loop then yields to the resumer.
 func (p *Proc) finish() {
 	e := p.eng
 	p.done = true
 	e.procs--
 	r := p.r
-	nested := p.nested
-	p.nested = false
 	p.r = nil
 	r.p = nil
-	r.next = e.freeRunner
+	r.free = e.freeRunner
 	e.freeRunner = r
-	if nested {
-		r.back.signal()
-		return
-	}
-	if q, ok := e.takeProcEvent(); ok {
-		e.resume(q)
-	} else {
-		e.mainHand.signal()
-	}
 }
 
 type procKilled struct{}
 
 // pause returns control from the process and blocks until resumed.
-// Called from the process goroutine only.
+// Called on the process's runner only.
 func (p *Proc) pause() {
-	r := p.r
-	if p.nested {
-		// Resumed from event context: unblock that caller.
-		p.nested = false
-		r.back.signal()
-	} else {
-		// We hold the dispatch token. Consume our own wake-up in place
-		// (zero switches), hand directly to the next process (one
-		// switch), or return the token to the Run caller.
-		e := p.eng
-		if q, ok := e.takeProcEvent(); ok {
-			if q == p {
-				if p.killed {
-					panic(procKilled{})
-				}
-				return
-			}
-			e.resume(q)
-		} else {
-			e.mainHand.signal()
-		}
+	if !p.dispatched || !p.eng.takeOwnWake(p) {
+		p.r.yield(struct{}{})
 	}
-	r.hand.wait()
 	if p.killed {
 		panic(procKilled{})
 	}
 }
 
-// drainRunners retires every pooled runner goroutine; called when Run
-// returns so idle engines pin no goroutines beyond suspended processes.
+// drainRunners retires every pooled runner; called when Run returns so
+// idle engines pin no coroutines beyond suspended processes.
 func (e *Engine) drainRunners() {
-	for r := e.freeRunner; r != nil; r = r.next {
-		r.retire = true
-		r.hand.signal()
+	for r := e.freeRunner; r != nil; r = r.free {
+		r.stop()
 	}
 	e.freeRunner = nil
 }
@@ -272,10 +206,10 @@ func (p *Proc) Sleep(d Time) {
 }
 
 // Suspend parks the process until the wake function handed to arm is
-// called from event context. arm runs on the process goroutine before the
-// park, so it can register wake as a completion callback without racing.
-// If wake fires synchronously inside arm (the awaited condition already
-// held), Suspend returns without parking. Waking twice panics.
+// called from event context. arm runs on the process before the park, so
+// it can register wake as a completion callback without racing. If wake
+// fires synchronously inside arm (the awaited condition already held),
+// Suspend returns without parking. Waking twice panics.
 func (p *Proc) Suspend(arm func(wake func())) {
 	fired := false
 	parked := false

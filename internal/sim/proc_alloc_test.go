@@ -25,14 +25,14 @@ func TestProcSwitchZeroAlloc(t *testing.T) {
 
 // TestProcSpawnAllocCeiling pins the runner free list: spawning a
 // short-lived process to completion with a warm pool costs exactly one
-// allocation, the Proc struct itself — no goroutine, no channels.
+// allocation, the Proc struct itself — no new coroutine.
 func TestProcSpawnAllocCeiling(t *testing.T) {
 	e := NewEngine()
 	var n float64
 	body := func(c *Proc) {}
 	e.Go("driver", func(p *Proc) {
-		// Warm past the runtime's first-use transients (goroutine stack
-		// growth, sudog caches, dispatch-list storage) so the ceiling
+		// Warm past the runtime's first-use transients (coroutine stack
+		// growth, dispatch-list storage) so the ceiling
 		// measures the steady state the free list is responsible for.
 		for i := 0; i < 4096; i++ {
 			e.Go("warm", body)
@@ -50,7 +50,7 @@ func TestProcSpawnAllocCeiling(t *testing.T) {
 }
 
 // TestProcSpawnReusesRunners: sequential short-lived processes share one
-// pooled runner goroutine instead of constructing one per spawn.
+// pooled runner coroutine instead of constructing one per spawn.
 func TestProcSpawnReusesRunners(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 100; i++ {
@@ -65,8 +65,8 @@ func TestProcSpawnReusesRunners(t *testing.T) {
 	}
 }
 
-// TestRunDrainsRunnerPool: Run must retire pooled runner goroutines on
-// exit so idle engines pin no goroutines beyond suspended processes.
+// TestRunDrainsRunnerPool: Run must retire pooled runner coroutines on
+// exit so idle engines pin none beyond suspended processes.
 func TestRunDrainsRunnerPool(t *testing.T) {
 	e := NewEngine()
 	e.Go("w", func(p *Proc) {})

@@ -10,10 +10,11 @@ import (
 
 // interleave is a seeded random program of processes, callbacks and
 // futures. Between them they take every route control can follow
-// between goroutines (proc.go "Handoff structure"):
+// between processes and the engine (proc.go "Handoff structure"):
 //
 //   - a process's own wake-up consumed in place (Sleep, Yield);
-//   - a direct handoff to the process whose wake-up is next;
+//   - a yield to the dispatch loop, which resumes the process whose
+//     wake-up is next;
 //   - a return to the goroutine that called Run, RunUntil or Step;
 //   - nested wakes from Future.Complete, both in a callback and in a
 //     process, and from the Run caller after Run returns;
@@ -275,8 +276,9 @@ func interleaveDigest(t *testing.T, seed uint64) (string, *interleave) {
 }
 
 // interleaveGolden holds the log digests of seeds 1–3, recorded before
-// the park-only handoff replaced a spinning one. How a goroutine waits
-// for the token must never change which goroutine runs next.
+// the park-only handoff replaced a spinning one and unchanged by the
+// move to coroutines. How control passes between processes must never
+// change which process runs next.
 var interleaveGolden = [...]string{
 	1: "af3e7ee8f674b38f8b5dc8a14ff76c9f8c78ea1bc4a811e547ed7ddbf558a988",
 	2: "d1f26c685301d1aee5310df65b62922f0edb78d5cfe58fd3eb7d9575230e9fd9",

@@ -272,3 +272,47 @@ func TestAwaitAll(t *testing.T) {
 		t.Fatalf("AwaitAll finished at %v, want 30ns", done)
 	}
 }
+
+// TestProcPanicReachesRun: a model panic inside a process body unwinds
+// to the goroutine that called Run, where the caller can recover it,
+// whether the dispatch loop resumed the process or a Future.Complete
+// woke it synchronously from a callback.
+func TestProcPanicReachesRun(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(e *Engine) *Proc
+	}{
+		{"dispatch loop", func(e *Engine) *Proc {
+			return e.Go("bug", func(p *Proc) {
+				p.Sleep(Nanosecond)
+				panic("model bug")
+			})
+		}},
+		{"synchronous wake", func(e *Engine) *Proc {
+			f := NewFuture[int]()
+			e.At(5*Nanosecond, func() { f.Complete(1) })
+			return e.Go("bug", func(p *Proc) {
+				f.MustAwait(p)
+				panic("model bug")
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			p := tc.setup(e)
+			e.Go("bystander", func(p *Proc) { p.Sleep(Second) })
+			got := func() (rec any) {
+				defer func() { rec = recover() }()
+				e.Run()
+				return nil
+			}()
+			if got != "model bug" {
+				t.Fatalf("Run recovered %v, want the process's panic", got)
+			}
+			if !p.Done() || e.procs != 1 {
+				t.Fatalf("after the panic: done %v, live procs %d; want true, 1 (the bystander)", p.Done(), e.procs)
+			}
+		})
+	}
+}

@@ -569,6 +569,72 @@ func TestSemaphoreProcBlocking(t *testing.T) {
 	}
 }
 
+// TestSemaphoreReentrantAcquireFIFO: a grant callback that re-enters
+// Acquire queues behind every waiter already present, across the
+// queue's compaction, and QueueLen counts only live waiters.
+func TestSemaphoreReentrantAcquireFIFO(t *testing.T) {
+	const n = 40 // past the compaction threshold
+	s := NewSemaphore(1)
+	s.Acquire(func() {})
+	var grants []int
+	var waiter func(i int) func()
+	waiter = func(i int) func() {
+		return func() {
+			grants = append(grants, i)
+			if i < n {
+				s.Acquire(waiter(i + n))
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		s.Acquire(waiter(i))
+	}
+	for i := 0; i < 2*n; i++ {
+		if got, want := s.QueueLen(), min(n, 2*n-i); got != want {
+			t.Fatalf("before release %d: QueueLen = %d, want %d", i, got, want)
+		}
+		s.Release()
+	}
+	for i, g := range grants {
+		if g != i {
+			t.Fatalf("grant order = %v, want FIFO 0..%d", grants, 2*n-1)
+		}
+	}
+	if len(grants) != 2*n || s.QueueLen() != 0 || s.InUse() != 1 {
+		t.Fatalf("%d grants, QueueLen %d, InUse %d; want %d, 0, 1", len(grants), s.QueueLen(), s.InUse(), 2*n)
+	}
+	s.Release()
+	if s.InUse() != 0 {
+		t.Fatalf("InUse = %d after the last release, want 0", s.InUse())
+	}
+}
+
+// TestSemaphoreSteadyStateZeroAlloc: with waiters always queued, an
+// Acquire/Release cycle reuses the queue's backing array. A queue that
+// slides its head by reslicing re-grows the array every few cycles.
+func TestSemaphoreSteadyStateZeroAlloc(t *testing.T) {
+	s := NewSemaphore(1)
+	s.Acquire(func() {})
+	granted := 0
+	grant := func() { granted++ }
+	for i := 0; i < 8; i++ {
+		s.Acquire(grant)
+	}
+	cycles := func() {
+		for i := 0; i < 64; i++ {
+			s.Acquire(grant)
+			s.Release()
+		}
+	}
+	cycles() // warm to the steady-state array size
+	if n := testing.AllocsPerRun(100, cycles); n != 0 {
+		t.Fatalf("64 Acquire/Release cycles allocate %.1f times, want 0", n)
+	}
+	if s.QueueLen() != 8 || granted != 64*102 {
+		t.Fatalf("QueueLen %d, %d grants; want 8, %d", s.QueueLen(), granted, 64*102)
+	}
+}
+
 func TestPipeSerializes(t *testing.T) {
 	e := NewEngine()
 	p := NewPipe(e)
