@@ -9,6 +9,7 @@ import (
 
 	"fcc"
 	"fcc/internal/fabric"
+	"fcc/internal/link"
 )
 
 // The build digests pin every cluster shape the repo builds, and the
@@ -91,7 +92,58 @@ func goldenCases() []goldenCase {
 			return digestOf(raw, n)
 		}},
 		{"figure1", func() string { return digestOf(Figure1()) }},
+		{"ring-4-trace-replay", traceReplayDigest},
 	}
+}
+
+// traceReplayDigest runs three streams of reads and writes from every
+// host to the FAM across a 4-switch ring whose links replay flits at a
+// nonzero BER, with the flit tracer on and switch output queues small
+// enough to hold packets. It hashes every kept trace record, the stats
+// snapshot and the committed count: the switch-side records, and
+// switches holding flits that the upstream replay buffer holds too,
+// appear in no other digest.
+func traceReplayDigest() string {
+	c, err := fcc.New(fcc.Config{
+		Hosts: 8, FAMs: 4, FAMCapacity: 1 << 22, Switches: 4, Ring: true, SpreadHosts: true,
+		TraceFlits: 1 << 14,
+		LinkConfig: func() link.Config {
+			lc := link.DefaultConfig()
+			lc.RetryEnabled = true
+			lc.Phys.BER = 0.02
+			return lc
+		},
+		SwitchConfig: func() fabric.SwitchConfig {
+			sc := fabric.DefaultSwitchConfig()
+			sc.OutQueueFlits = 2
+			return sc
+		},
+	})
+	if err != nil {
+		panic(err)
+	}
+	var streams [][]int
+	for seed := uint64(1); seed <= 3; seed++ {
+		streams = append(streams, scaleWorkload(c, seed, 40, 1))
+	}
+	c.Run()
+	committed := 0
+	for _, done := range streams {
+		for _, d := range done {
+			committed += d
+		}
+	}
+	raw, err := c.Stats().Snapshot().MarshalJSONIndent()
+	if err != nil {
+		panic(err)
+	}
+	h := sha256.New()
+	for _, r := range c.Tracer.Records() {
+		fmt.Fprintln(h, r.String())
+	}
+	h.Write(raw)
+	fmt.Fprintf(h, "%d\n", committed)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // shapeDigest hashes what a cluster's wiring decides: the rendered
@@ -135,7 +187,9 @@ func digestOf(parts ...any) string {
 }
 
 // buildGolden holds the digests, recorded while line, ring and pods were
-// still wired by hand in fcc.New, at GOMAXPROCS 1 and 4.
+// still wired by hand in fcc.New, at GOMAXPROCS 1 and 4; the
+// ring-4-trace-replay digest was recorded while switches still decoded
+// and re-encoded every packet they forwarded.
 var buildGolden = map[string]string{
 	"default":               "a0a9cb735be584778a5a139c1861fe87981873f2c70b73e5b6497175c2916bce",
 	"line-2":                "bff3a0a217576db86ec0c5339efaf75aeb5e8ee908c758c725586b048f6479f0",
@@ -157,6 +211,7 @@ var buildGolden = map[string]string{
 	"blastradius":           "b10cf6a9d543dc6c6a5018f0d5b24c0faa61efcb29c0d2ab74c22c93a34d8a0e",
 	"fabstore-equiv-faults": "c97de701ed8a9360d9fa832745550d7afc542256119ffa5c3661fc12425bf9d0",
 	"figure1":               "1d86abc765b331a2c54bebfeec529f79f6dfbd251a7adf49fec9418431a827a6",
+	"ring-4-trace-replay":   "0c68f364330859717475af706b89059fa683ad816537e8af56434ab137f7a168",
 }
 
 // TestBuildGolden checks every cluster shape and experiment output
