@@ -147,6 +147,7 @@ func TestNewRejects(t *testing.T) {
 		return &fabric.TopoSpec{Kind: fabric.TopoChain, Groups: groups, Pods: pods}
 	}
 	leafSpine := &fabric.TopoSpec{Kind: fabric.TopoFatTree, Tiers: 2, Radix: 4}
+	mixed := &fabric.TopoSpec{Kind: fabric.TopoChain, Groups: 1, Pods: 2, ISLConfig: link.DefaultConfig}
 	sharded := func(set func(*Config)) Config {
 		cfg := Config{Hosts: 4, FAMs: 2, Switches: 4, Ring: true, SpreadHosts: true, Shards: 2}
 		set(&cfg)
@@ -171,6 +172,7 @@ func TestNewRejects(t *testing.T) {
 		{"negative groups", Config{Hosts: 1, Topology: chain(-2, 1)}, "non-negative"},
 		{"pods across shards", Config{Hosts: 6, Topology: chain(3, 2), Shards: 2}, "3 pods do not divide into 2 shards"},
 		{"pods across more shards", Config{Hosts: 8, Topology: chain(4, 2), Shards: 8}, "4 pods do not divide into 8 shards"},
+		{"mixed flit modes", Config{Hosts: 1, Topology: mixed, LinkConfig: mode256}, "would mix 68B and 256B flits"},
 	} {
 		_, err := New(tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -230,16 +232,19 @@ func TestClusterProbeDevices(t *testing.T) {
 	}
 }
 
+// mode256 is a LinkConfig hook for CXL 3.0 class 256B-flit links.
+func mode256() link.Config {
+	lc := link.DefaultConfig()
+	lc.Mode = flit.Mode256
+	return lc
+}
+
 func TestCluster256BFlitMode(t *testing.T) {
 	// CXL 3.0 class: 256B flits end to end. A 64B access fits one flit
 	// instead of two, and the whole stack still round-trips data.
 	c, err := New(Config{
 		Hosts: 1, FAMs: 1, FAMCapacity: 1 << 24,
-		LinkConfig: func() link.Config {
-			lc := link.DefaultConfig()
-			lc.Mode = flit.Mode256
-			return lc
-		},
+		LinkConfig: mode256,
 	})
 	if err != nil {
 		t.Fatal(err)

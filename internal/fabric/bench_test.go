@@ -1,40 +1,31 @@
 package fabric
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
 	"fcc/internal/flit"
 	"fcc/internal/link"
 	"fcc/internal/sim"
-	"fcc/internal/txn"
 )
 
 // BenchmarkSwitchRouting measures simulator cost per routed request
-// (request + response across one switch).
+// (request + response) across a line of 1 and of 3 switches; the
+// difference between the two is the cost of two switch hops each way.
 func BenchmarkSwitchRouting(b *testing.B) {
-	eng := sim.NewEngine()
-	bd := NewBuilder(eng)
-	sw := bd.AddSwitch("fs0", DefaultSwitchConfig())
-	ha, _ := bd.AttachEndpoint(sw, "h", RoleHost, link.DefaultConfig())
-	h := txn.NewEndpoint(eng, ha.ID, ha.Port, 0)
-	ha.Port.SetSink(h)
-	da, _ := bd.AttachEndpoint(sw, "d", RoleFAM, link.DefaultConfig())
-	d := txn.NewEndpoint(eng, da.ID, da.Port, 0)
-	da.Port.SetSink(d)
-	d.Handler = func(req *flit.Packet, reply func(*flit.Packet)) {
-		reply(req.Response(flit.OpMemRdData, 64))
+	for _, n := range []int{1, 3} {
+		b.Run(fmt.Sprintf("switches=%d", n), func(b *testing.B) {
+			eng, h, dst := lineRig(b, n, DefaultSwitchConfig())
+			eng.Go("driver", func(p *sim.Proc) {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					h.Request(&flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: dst}).MustAwait(p)
+				}
+			})
+			eng.Run()
+		})
 	}
-	if err := bd.Discover(); err != nil {
-		b.Fatal(err)
-	}
-	eng.Go("driver", func(p *sim.Proc) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Request(&flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: da.ID}).MustAwait(p)
-		}
-	})
-	eng.Run()
 }
 
 // benchLine4 builds the historical 4-switch/64-endpoint line.

@@ -164,8 +164,15 @@ func (b *Builder) AddSwitch(name string, cfg SwitchConfig) *Switch {
 // cross-shard link: its wire messages travel through the coordinator's
 // mailboxes, and its propagation delay must be at least the
 // coordinator's lookahead window.
+// Both switches must already use cfg's flit mode, if they have links.
 func (b *Builder) ConnectSwitches(x, y *Switch, cfg link.Config) error {
 	name := fmt.Sprintf("%s<->%s", x.name, y.name)
+	if err := x.checkMode(cfg.Mode); err != nil {
+		return err
+	}
+	if err := y.checkMode(cfg.Mode); err != nil {
+		return err
+	}
 	var l *link.Link
 	var err error
 	if x.dom != y.dom {
@@ -198,9 +205,13 @@ func (b *Builder) ConnectSwitches(x, y *Switch, cfg link.Config) error {
 // AttachEndpoint joins an endpoint (host FHA, FAM/FAA FEA) to a switch
 // and assigns it the next PBR ID. The returned Attachment's Port is the
 // endpoint side; callers attach their own sink (usually a txn.Endpoint).
+// The switch must already use cfg's flit mode, if it has links.
 func (b *Builder) AttachEndpoint(sw *Switch, name string, role Role, cfg link.Config) (*Attachment, error) {
 	if b.nextID > flit.MaxPortID {
 		return nil, fmt.Errorf("fabric: PBR ID space exhausted (12-bit, max %d endpoints)", flit.MaxPortID+1)
+	}
+	if err := sw.checkMode(cfg.Mode); err != nil {
+		return nil, err
 	}
 	l, err := link.New(sw.eng, fmt.Sprintf("%s<->%s", name, sw.name), cfg)
 	if err != nil {

@@ -3,7 +3,6 @@ package flit
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // Mode selects the flit format. CXL Flex Bus supports a 68-byte flit
@@ -54,6 +53,10 @@ func (m Mode) PayloadBytes() int {
 //	[20]  hops
 //	[21:24] reqlen (24-bit requested read length)
 const headerSize = 24
+
+// hopsOffset is the header byte a switch rewrites when it forwards a
+// train.
+const hopsOffset = 20
 
 // FlitsFor reports how many flits are needed to carry a packet with the
 // given payload size in this mode.
@@ -118,103 +121,58 @@ func EncodeHeader(p *Packet, buf []byte) {
 	buf[23] = byte(p.ReqLen >> 16)
 }
 
-// DecodeHeader parses a packet header from buf.
-func DecodeHeader(buf []byte) (*Packet, error) {
+// parseHeader reads the routing fields of a packet header from buf and
+// runs the bounds checks every decoder shares: the header's length, the
+// 12-bit port IDs and the payload size.
+func parseHeader(buf []byte) (Header, error) {
 	if len(buf) < headerSize {
-		return nil, ErrTruncated
+		return Header{}, ErrTruncated
 	}
-	p := &Packet{
-		Chan:   Channel(buf[0]),
-		Op:     Op(buf[1]),
-		Src:    PortID(binary.LittleEndian.Uint16(buf[2:4])),
-		Dst:    PortID(binary.LittleEndian.Uint16(buf[4:6])),
-		Tag:    binary.LittleEndian.Uint16(buf[6:8]),
+	h := Header{
+		Chan: Channel(buf[0]),
+		Op:   Op(buf[1]),
+		Src:  PortID(binary.LittleEndian.Uint16(buf[2:4])),
+		Dst:  PortID(binary.LittleEndian.Uint16(buf[4:6])),
+		Tag:  binary.LittleEndian.Uint16(buf[6:8]),
+		Size: binary.LittleEndian.Uint32(buf[16:20]),
+		Hops: buf[hopsOffset],
+	}
+	if h.Src > MaxPortID || h.Dst > MaxPortID {
+		return Header{}, ErrBadPortID
+	}
+	if h.Size > MaxPayload {
+		return Header{}, ErrSizeBounds
+	}
+	return h, nil
+}
+
+// packet builds the full packet header h was parsed from, adding the
+// fields only endpoints read: Addr and ReqLen.
+func (h Header) packet(buf []byte) *Packet {
+	return &Packet{
+		Chan:   h.Chan,
+		Op:     h.Op,
+		Src:    h.Src,
+		Dst:    h.Dst,
+		Tag:    h.Tag,
 		Addr:   binary.LittleEndian.Uint64(buf[8:16]),
-		Size:   binary.LittleEndian.Uint32(buf[16:20]),
-		Hops:   buf[20],
+		Size:   h.Size,
+		Hops:   h.Hops,
 		ReqLen: uint32(buf[21]) | uint32(buf[22])<<8 | uint32(buf[23])<<16,
 	}
-	if p.Src > MaxPortID || p.Dst > MaxPortID {
-		return nil, ErrBadPortID
-	}
-	if p.Size > MaxPayload {
-		return nil, ErrSizeBounds
-	}
-	return p, nil
 }
 
-// Encode splits a packet into flits, starting at link sequence number
-// firstSeq. Packets with nil Data get a zero payload of p.Size bytes
-// (timing-only models); packets with Data carry it verbatim.
-func Encode(m Mode, p *Packet, firstSeq uint32) ([]*Flit, error) {
-	if p.Src > MaxPortID || p.Dst > MaxPortID {
-		return nil, ErrBadPortID
-	}
-	if p.Size > MaxPayload {
-		return nil, ErrSizeBounds
-	}
-	if p.Data != nil && uint32(len(p.Data)) != p.Size {
-		return nil, fmt.Errorf("flit: data length %d != size %d", len(p.Data), p.Size)
-	}
-	total := headerSize + int(p.Size)
-	raw := make([]byte, total)
-	EncodeHeader(p, raw[:headerSize])
-	if p.Data != nil {
-		copy(raw[headerSize:], p.Data)
-	}
-	per := m.PayloadBytes()
-	n := m.FlitsFor(p.Size)
-	flits := make([]*Flit, 0, n)
-	for i := 0; i < n; i++ {
-		chunk := make([]byte, per)
-		lo := i * per
-		hi := lo + per
-		if hi > total {
-			hi = total
-		}
-		copy(chunk, raw[lo:hi])
-		f := &Flit{
-			Seq:     firstSeq + uint32(i),
-			Last:    i == n-1,
-			Payload: chunk,
-		}
-		f.CRC = CRC16(chunk)
-		flits = append(flits, f)
-	}
-	return flits, nil
-}
-
-// Decode reassembles a packet from its flits, verifying every CRC.
-func Decode(m Mode, flits []*Flit) (*Packet, error) {
-	if len(flits) == 0 {
-		return nil, ErrTruncated
-	}
-	raw := make([]byte, 0, len(flits)*m.PayloadBytes())
-	for _, f := range flits {
-		if CRC16(f.Payload) != f.CRC {
-			return nil, ErrCRC
-		}
-		raw = append(raw, f.Payload...)
-	}
-	p, err := DecodeHeader(raw)
+// DecodeHeader parses a packet header from buf.
+func DecodeHeader(buf []byte) (*Packet, error) {
+	h, err := parseHeader(buf)
 	if err != nil {
 		return nil, err
 	}
-	need := headerSize + int(p.Size)
-	if len(raw) < need {
-		return nil, ErrTruncated
-	}
-	if p.Size > 0 {
-		p.Data = append([]byte(nil), raw[headerSize:need]...)
-	}
-	if m.FlitsFor(p.Size) != len(flits) {
-		return nil, ErrTruncated
-	}
-	return p, nil
+	return h.packet(buf), nil
 }
 
 // Corrupt flips one bit of the flit payload (for link-error injection)
-// without updating the CRC, so Decode will detect it.
+// without updating the CRC, so a decoder will detect it.
 func (f *Flit) Corrupt(bit int) {
 	idx := (bit / 8) % len(f.Payload)
 	f.Payload[idx] ^= 1 << (bit % 8)

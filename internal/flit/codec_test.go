@@ -2,10 +2,86 @@ package flit
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
+
+// Encode and Decode are the unpooled codec: every flit and every buffer
+// freshly allocated, one straight pass each way. They are the oracle the
+// pooled codec (Pool.Encode, Pool.Decode, Pool.PeekHeader and
+// Pool.Forward) is checked against here and in FuzzDecode.
+
+// Encode splits a packet into flits, starting at link sequence number
+// firstSeq. Packets with nil Data get a zero payload of p.Size bytes;
+// packets with Data carry it verbatim.
+func Encode(m Mode, p *Packet, firstSeq uint32) ([]*Flit, error) {
+	if p.Src > MaxPortID || p.Dst > MaxPortID {
+		return nil, ErrBadPortID
+	}
+	if p.Size > MaxPayload {
+		return nil, ErrSizeBounds
+	}
+	if p.Data != nil && uint32(len(p.Data)) != p.Size {
+		return nil, fmt.Errorf("flit: data length %d != size %d", len(p.Data), p.Size)
+	}
+	total := headerSize + int(p.Size)
+	raw := make([]byte, total)
+	EncodeHeader(p, raw[:headerSize])
+	if p.Data != nil {
+		copy(raw[headerSize:], p.Data)
+	}
+	per := m.PayloadBytes()
+	n := m.FlitsFor(p.Size)
+	flits := make([]*Flit, 0, n)
+	for i := 0; i < n; i++ {
+		chunk := make([]byte, per)
+		lo := i * per
+		hi := lo + per
+		if hi > total {
+			hi = total
+		}
+		copy(chunk, raw[lo:hi])
+		f := &Flit{
+			Seq:     firstSeq + uint32(i),
+			Last:    i == n-1,
+			Payload: chunk,
+		}
+		f.CRC = CRC16(chunk)
+		flits = append(flits, f)
+	}
+	return flits, nil
+}
+
+// Decode reassembles a packet from its flits, verifying every CRC.
+func Decode(m Mode, flits []*Flit) (*Packet, error) {
+	if len(flits) == 0 {
+		return nil, ErrTruncated
+	}
+	raw := make([]byte, 0, len(flits)*m.PayloadBytes())
+	for _, f := range flits {
+		if CRC16(f.Payload) != f.CRC {
+			return nil, ErrCRC
+		}
+		raw = append(raw, f.Payload...)
+	}
+	p, err := DecodeHeader(raw)
+	if err != nil {
+		return nil, err
+	}
+	need := headerSize + int(p.Size)
+	if len(raw) < need {
+		return nil, ErrTruncated
+	}
+	if p.Size > 0 {
+		p.Data = append([]byte(nil), raw[headerSize:need]...)
+	}
+	if m.FlitsFor(p.Size) != len(flits) {
+		return nil, ErrTruncated
+	}
+	return p, nil
+}
 
 func TestModeGeometry(t *testing.T) {
 	if Mode68.WireBytes() != 68 || Mode68.PayloadBytes() != 64 {
@@ -238,18 +314,24 @@ func FuzzCRC16(f *testing.F) {
 }
 
 // FuzzDecode cuts arbitrary bytes into flits of each mode, with valid
-// CRCs unless flip is non-zero (it is XORed into the last flit's). Decode
-// and Pool.Decode must not panic and must agree on the error or the
-// packet, and a decoded packet must survive Encode/Decode in both modes.
+// CRCs unless flip is non-zero (it is XORed into the last flit's). Decode,
+// Pool.Decode and Pool.PeekHeader must not panic and must agree on the
+// error, the packet and its header fields, and a decoded packet must
+// survive Encode/Decode in both modes. A train that Pool.Encode
+// reproduces byte for byte (the input's, else the decoded packet's
+// re-encoding) must forward, through Pool.Forward with Hops+1, to
+// exactly the flits Pool.Encode makes of the packet with Hops+1.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, flip uint16) {
 		for _, m := range []Mode{Mode68, Mode256} {
 			flits := rawFlits(m, raw)
 			flits[len(flits)-1].CRC ^= flip
+			pl := NewPool(m)
 			p, err := Decode(m, flits)
-			q, qerr := NewPool(m).Decode(flits)
-			if err != qerr { // both return bare sentinels
-				t.Fatalf("%v: Decode err %v, Pool.Decode err %v", m, err, qerr)
+			q, qerr := pl.Decode(flits)
+			h, herr := pl.PeekHeader(flits)
+			if err != qerr || err != herr { // all return bare sentinels
+				t.Fatalf("%v: Decode err %v, Pool.Decode err %v, PeekHeader err %v", m, err, qerr, herr)
 			}
 			if err != nil {
 				continue
@@ -257,6 +339,10 @@ func FuzzDecode(f *testing.F) {
 			if !samePacket(p, q) {
 				t.Fatalf("%v: Decode %+v, Pool.Decode %+v", m, p, q)
 			}
+			if h != p.Header() {
+				t.Fatalf("%v: PeekHeader %+v, Decode's header %+v", m, h, p.Header())
+			}
+			checkForward(t, pl, p, flits)
 			for _, m2 := range []Mode{Mode68, Mode256} {
 				fl, err := Encode(m2, p, 0)
 				if err != nil {
@@ -272,6 +358,49 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkForward forwards a train of packet p through pl with Hops+1 and
+// compares the copy, flit for flit, with pl's encoding of p at Hops+1.
+// The train is the received one when pl's encoding of p reproduces it
+// (payload, CRC and Last), else that encoding itself.
+func checkForward(t *testing.T, pl *Pool, p *Packet, received []*Flit) {
+	t.Helper()
+	train, err := pl.Encode(p, 0, nil)
+	if err != nil {
+		t.Fatalf("%v: encode %+v: %v", pl.Mode(), p, err)
+	}
+	if sameFlits(train, received) {
+		train = received
+	}
+	next := p.Clone()
+	next.Hops++
+	want, err := pl.Encode(next, 40, nil)
+	if err != nil {
+		t.Fatalf("%v: encode %+v: %v", pl.Mode(), next, err)
+	}
+	got := pl.Forward(train, p.Hops+1, 40, nil)
+	if !sameFlits(got, want) {
+		t.Fatalf("%v: forwarding %+v with hops %d differs from its encoding", pl.Mode(), p, next.Hops)
+	}
+	for i, f := range got {
+		if f.Seq != want[i].Seq {
+			t.Fatalf("%v: forwarded flit %d seq %d, want %d", pl.Mode(), i, f.Seq, want[i].Seq)
+		}
+	}
+}
+
+// sameFlits reports whether two trains match in payload, CRC and Last.
+func sameFlits(a, b []*Flit) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Last != b[i].Last || a[i].CRC != b[i].CRC || !bytes.Equal(a[i].Payload, b[i].Payload) {
+			return false
+		}
+	}
+	return true
 }
 
 // rawFlits cuts raw into zero-padded flits of mode m, at least one, each

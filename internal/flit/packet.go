@@ -182,6 +182,30 @@ type Packet struct {
 	Hops uint8
 }
 
+// Header is the fixed-size view of a packet header that a switch routes
+// by: the packet's fields less Addr, ReqLen and Data. Pool.PeekHeader
+// reads it in place from a received train's header flit, so a switch
+// holds one per train by value and allocates nothing.
+type Header struct {
+	Chan Channel
+	Op   Op
+	Src  PortID
+	Dst  PortID
+	Tag  uint16
+	Size uint32
+	Hops uint8
+}
+
+// String renders a compact description for traces.
+func (h Header) String() string {
+	return fmt.Sprintf("%s %s %d->%d tag=%d size=%d", h.Chan, h.Op, h.Src, h.Dst, h.Tag, h.Size)
+}
+
+// Header returns the packet's routing fields.
+func (p *Packet) Header() Header {
+	return Header{Chan: p.Chan, Op: p.Op, Src: p.Src, Dst: p.Dst, Tag: p.Tag, Size: p.Size, Hops: p.Hops}
+}
+
 // String renders a compact description for traces.
 func (p *Packet) String() string {
 	return fmt.Sprintf("%s %s %d->%d tag=%d addr=%#x size=%d",

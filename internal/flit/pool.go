@@ -11,16 +11,15 @@ import "fmt"
 //
 // Ownership is reference-counted because one flit can be held by two
 // parties at once in retry mode: the sender's replay buffer and the
-// receiver's reassembly queue. Every holder calls Retain when it files
-// the flit and Release when it lets go; the last Release recycles the
-// flit. Code that never pools (tests, the plain Encode path) can ignore
-// refcounts entirely — Release on a flit that never came from a pool is
-// a bug and panics.
+// receiver's reassembly queue (or the switch holding the received
+// train). Every holder calls Retain when it files the flit and Release
+// when it lets go; the last Release recycles the flit. Code that never
+// pools (tests) can ignore refcounts entirely — Release on a flit that
+// never came from a pool is a bug and panics.
 type Pool struct {
 	mode Mode
 	free *Flit  // recycled flits, LIFO for cache warmth
 	raw  []byte // Encode scratch: header + payload staging
-	dec  []byte // Decode scratch: reassembled packet bytes
 }
 
 // NewPool returns an empty pool producing flits of the given mode.
@@ -95,10 +94,11 @@ func (pl *Pool) Release(f *Flit) {
 	pl.free = f
 }
 
-// Encode is the pooled counterpart of the package-level Encode: it
-// splits a packet into flits drawn from the pool (each refs=1, owned by
-// the caller) and appends them to dst, reusing the pool's staging
-// buffer. Error cases match Encode exactly.
+// Encode splits a packet into flits drawn from the pool (each refs=1,
+// owned by the caller), numbered from firstSeq, and appends them to
+// dst, reusing the pool's staging buffer. Packets with nil Data get a
+// zero payload of p.Size bytes (timing-only models); packets with Data
+// carry it verbatim.
 func (pl *Pool) Encode(p *Packet, firstSeq uint32, dst []*Flit) ([]*Flit, error) {
 	if p.Src > MaxPortID || p.Dst > MaxPortID {
 		return dst, ErrBadPortID
@@ -140,38 +140,76 @@ func (pl *Pool) Encode(p *Packet, firstSeq uint32, dst []*Flit) ([]*Flit, error)
 	return dst, nil
 }
 
-// Decode is the pooled counterpart of the package-level Decode: it
-// reassembles a packet using the pool's scratch buffer instead of a
-// fresh allocation per packet. The returned Packet (and its Data) are
-// freshly allocated — they escape to the transaction layer and beyond,
-// so they cannot alias pool scratch. The input flits are NOT released;
-// the caller owns them and releases after a successful decode. Error
-// semantics match Decode exactly.
-func (pl *Pool) Decode(flits []*Flit) (*Packet, error) {
+// PeekHeader checks a received train as Decode does — every flit's CRC,
+// the header's bounds, and the flit count its size implies — and
+// returns the header's routing fields, read in place from the first
+// flit. It copies and allocates nothing, and its errors are Decode's.
+// Every flit carries a full PayloadBytes() payload, so the header flit
+// holds the whole header.
+func (pl *Pool) PeekHeader(flits []*Flit) (Header, error) {
 	if len(flits) == 0 {
-		return nil, ErrTruncated
+		return Header{}, ErrTruncated
 	}
-	raw := pl.dec[:0]
 	for _, f := range flits {
 		if CRC16(f.Payload) != f.CRC {
-			return nil, ErrCRC
+			return Header{}, ErrCRC
 		}
-		raw = append(raw, f.Payload...)
 	}
-	pl.dec = raw[:0]
-	p, err := DecodeHeader(raw)
+	h, err := parseHeader(flits[0].Payload)
+	if err != nil {
+		return Header{}, err
+	}
+	if pl.mode.FlitsFor(h.Size) != len(flits) {
+		return Header{}, ErrTruncated
+	}
+	return h, nil
+}
+
+// Decode reassembles a packet from its flits after PeekHeader's checks,
+// copying the payload straight from the flits into the packet's Data.
+// The returned Packet (and its Data) are freshly allocated — they
+// escape to the transaction layer and beyond, so they cannot alias
+// flit buffers. The input flits are NOT released; the caller owns them
+// and releases after a successful decode.
+func (pl *Pool) Decode(flits []*Flit) (*Packet, error) {
+	h, err := pl.PeekHeader(flits)
 	if err != nil {
 		return nil, err
 	}
-	need := headerSize + int(p.Size)
-	if len(raw) < need {
-		return nil, ErrTruncated
-	}
-	if p.Size > 0 {
-		p.Data = append([]byte(nil), raw[headerSize:need]...)
-	}
-	if pl.mode.FlitsFor(p.Size) != len(flits) {
-		return nil, ErrTruncated
+	p := h.packet(flits[0].Payload)
+	if h.Size > 0 {
+		p.Data = make([]byte, h.Size)
+		n := copy(p.Data, flits[0].Payload[headerSize:])
+		for _, f := range flits[1:] {
+			n += copy(p.Data[n:], f.Payload)
+		}
 	}
 	return p, nil
+}
+
+// Forward appends to dst the copy of a received train that a switch
+// sends on, drawn from this pool and numbered from firstSeq. Payload
+// bytes, Last and the CRC of every flit but the header flit are copied
+// unchanged; the header flit gets hops in its Hops byte and a CRC
+// recomputed over its new bytes. The copies are refs=1, owned by the
+// caller; the train itself is neither changed nor released. Every flit
+// of the train must be of this pool's mode.
+func (pl *Pool) Forward(train []*Flit, hops uint8, firstSeq uint32, dst []*Flit) []*Flit {
+	per := pl.mode.PayloadBytes()
+	for i, src := range train {
+		if len(src.Payload) != per {
+			panic(fmt.Sprintf("flit: forwarding a %d-byte flit payload through a %v pool", len(src.Payload), pl.mode))
+		}
+		f := pl.Get()
+		copy(f.Payload, src.Payload)
+		f.Seq = firstSeq + uint32(i)
+		f.Last = src.Last
+		f.CRC = src.CRC
+		if i == 0 {
+			f.Payload[hopsOffset] = hops
+			f.CRC = CRC16(f.Payload)
+		}
+		dst = append(dst, f)
+	}
+	return dst
 }

@@ -72,3 +72,51 @@ func TestLinkDeliveryAllocCeiling(t *testing.T) {
 		t.Fatalf("delivery allocates %.2f per packet end to end, want <= 8", perPkt)
 	}
 }
+
+// TestRetransmitZeroAlloc pins the retry queue's steady state: a NAK'd
+// flit costs no allocation on its way back onto the wire. Each cycle
+// sends a header-only packet and NAKs it while it is still in the replay
+// buffer, so the retry queue fills and drains once per packet; the
+// duplicate lands as a stale retransmission. The cycles must allocate no
+// more than the same cycles without the NAK (the receiver's decoded
+// packet). A queue popped by reslicing loses its capacity once it
+// empties and allocates a new array on the next NAK.
+func TestRetransmitZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := DefaultConfig()
+	cfg.RetryEnabled = true
+	l, err := New(eng, "retry", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.A().SetSink(SinkFunc(func(pkt *flit.Packet, release func()) { release() }))
+	l.B().SetSink(SinkFunc(func(pkt *flit.Packet, release func()) { release() }))
+	pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Src: 1, Dst: 2}
+	cycles := func(nak bool) func() {
+		return func() {
+			for i := 0; i < 16; i++ {
+				seq := l.A().vcSeq[pkt.Chan]
+				l.A().Send(pkt)
+				if nak {
+					l.A().handleNak(pkt.Chan, seq)
+				}
+				eng.Run()
+			}
+		}
+	}
+	// Warm until every engine wheel bucket has met its peak load, so
+	// both measurements count only the decoded packets.
+	for round := 0; round < 256; round++ {
+		cycles(true)()
+		cycles(false)()
+	}
+	plain := testing.AllocsPerRun(20, cycles(false))
+	naked := testing.AllocsPerRun(20, cycles(true))
+	t.Logf("16 packets: %.0f allocs, %.0f with a NAK each", plain, naked)
+	if got := l.A().Retransmits.Value(); got == 0 {
+		t.Fatal("no flit was retransmitted")
+	}
+	if naked > plain {
+		t.Fatalf("16 NAK'd packets allocate %.0f, against %.0f without the NAK; want no more", naked, plain)
+	}
+}

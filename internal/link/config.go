@@ -119,6 +119,17 @@ type Sink interface {
 	Arrive(pkt *flit.Packet, release func())
 }
 
+// TrainSink consumes a port's received packets as flit trains instead
+// of decoded packets: a switch port, which routes by the header view and
+// forwards the train with Port.Forward. The port has checked every
+// flit's CRC and the header's bounds. The train stays in the receive
+// buffer, owned by the port, until release is called exactly once;
+// release returns its credits and its flits, so the sink must not touch
+// the train afterwards.
+type TrainSink interface {
+	ArriveTrain(hdr flit.Header, train []*flit.Flit, release func())
+}
+
 // SinkFunc adapts a function to the Sink interface.
 type SinkFunc func(pkt *flit.Packet, release func())
 

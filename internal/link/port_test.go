@@ -482,6 +482,38 @@ func TestSchedulerOldestFirst(t *testing.T) {
 	}
 }
 
+// TestSchedulersIdleWithoutEligible pins the contract that lets a port
+// skip Pick when no VC is eligible: every scheduler then answers -1 and
+// keeps its state, so its picks afterwards match a twin that was never
+// asked.
+func TestSchedulersIdleWithoutEligible(t *testing.T) {
+	idle := []VCView{
+		{Channel: flit.ChIO, QueuedFlits: 3, Credits: 0},
+		{Channel: flit.ChMem, QueuedFlits: 1, Credits: 0},
+		{Channel: flit.ChCache},
+		{Channel: flit.ChCtrl},
+	}
+	busy := []VCView{
+		{Channel: flit.ChIO, Eligible: true, Credits: 4, HeadAge: 10},
+		{Channel: flit.ChMem, Eligible: true, Credits: 4, HeadAge: 10},
+		{Channel: flit.ChCache, Eligible: true, Credits: 4, HeadAge: 10},
+		{Channel: flit.ChCtrl},
+	}
+	for _, mk := range []func() Scheduler{NewRoundRobin, NewStrictPriority, NewCreditWeighted, NewOldestFirst} {
+		asked, twin := mk(), mk()
+		asked.Pick(busy)
+		twin.Pick(busy)
+		if got := asked.Pick(idle); got != -1 {
+			t.Fatalf("%s: pick with nothing eligible = %d, want -1", asked.Name(), got)
+		}
+		for i := 0; i < 4; i++ {
+			if a, b := asked.Pick(busy), twin.Pick(busy); a != b {
+				t.Fatalf("%s: pick %d after an idle pick = %d, want %d", asked.Name(), i, a, b)
+			}
+		}
+	}
+}
+
 // Property: under randomized traffic across all VCs with corruption and
 // retry, every packet is delivered exactly once and per-VC FIFO order
 // holds.

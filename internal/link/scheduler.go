@@ -14,8 +14,10 @@ type VCView struct {
 }
 
 // Scheduler picks which VC sends the next flit. It is consulted once per
-// flit (or once per packet under PacketArbitration). Returning -1 means
-// "nothing eligible".
+// flit (or once per packet under PacketArbitration), and only when at
+// least one VC is eligible: with none, the port stalls without calling
+// Pick, which is what every scheduler here would answer (-1, state
+// unchanged). Returning -1 means "nothing eligible".
 //
 // The paper (Difference #3) observes that deployed CFC switches schedule
 // credit-agnostically, causing head-of-line blocking and credit waste;
