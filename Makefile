@@ -101,13 +101,15 @@ bench-smoke:
 
 # fuzz-smoke runs each native fuzz target for about 10 s, one go test
 # -fuzz call per target, since -fuzz takes one target at a time: the
-# flit codec against its bitwise and unpooled references, and the ladder
-# engine against the heap executive. A finding is written to the
-# package's testdata/fuzz, where plain `go test` replays it from then on.
+# flit codec against its bitwise and unpooled references, the ladder
+# engine against the heap executive, and the host address map against
+# its sorting reference. A finding is written to the package's
+# testdata/fuzz, where plain `go test` replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCRC16$$' -fuzztime 10s ./internal/flit/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/flit/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzAddrMap$$' -fuzztime 10s ./internal/host/
 
 # fccperf-smoke runs the end-to-end benchmark's own tests: every
 # workload at 1/100 size with the zero-failure and same-seed-repeat

@@ -173,6 +173,7 @@ func TestNewRejects(t *testing.T) {
 		{"pods across shards", Config{Hosts: 6, Topology: chain(3, 2), Shards: 2}, "3 pods do not divide into 2 shards"},
 		{"pods across more shards", Config{Hosts: 8, Topology: chain(4, 2), Shards: 8}, "4 pods do not divide into 8 shards"},
 		{"mixed flit modes", Config{Hosts: 1, Topology: mixed, LinkConfig: mode256}, "would mix 68B and 256B flits"},
+		{"FAM windows past 2^64", Config{Hosts: 1, FAMs: 2, FAMCapacity: 1 << 63}, `region "fam1" at 0x8000001000000000 wraps past 2^64`},
 	} {
 		_, err := New(tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

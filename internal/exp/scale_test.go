@@ -76,3 +76,18 @@ func TestScaleIncrementalMatchesFull(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleBootAllocCeiling pins what one boot of the 64-switch,
+// 512-endpoint fat-tree allocates. fcc.New maps all 64 FAM windows into
+// each of the 448 hosts' address maps, so a map that re-sorts or
+// allocates on every insert shows up here first: such an Add cost
+// about 117,600 allocations per boot, against about 31,100 for the
+// in-place insert.
+func TestScaleBootAllocCeiling(t *testing.T) {
+	cfg := ScaleScenarios()[2] // fat-tree-64sw
+	n := testing.AllocsPerRun(3, func() { ScaleBuild(cfg, 1) })
+	t.Logf("%s boot: %.0f allocations", cfg.Name, n)
+	if n > 40000 {
+		t.Fatalf("%s boot allocates %.0f objects, want <= 40000", cfg.Name, n)
+	}
+}

@@ -2,7 +2,6 @@ package host
 
 import (
 	"fmt"
-	"sort"
 
 	"fcc/internal/flit"
 )
@@ -35,18 +34,38 @@ type AddrMap struct {
 // NewAddrMap returns an empty map.
 func NewAddrMap() *AddrMap { return &AddrMap{} }
 
-// Add inserts a region; overlapping an existing region is an error.
+// Add inserts a region; an empty region, one whose end wraps past 2^64,
+// or one overlapping an existing region is an error. An overlap names
+// the lowest region it hits. Add costs a binary search and one shift of
+// the regions above the new one.
 func (m *AddrMap) Add(r Region) error {
 	if r.Size == 0 {
 		return fmt.Errorf("host: empty region %q", r.Name)
 	}
-	for _, x := range m.regions {
-		if r.Base < x.End() && x.Base < r.End() {
-			return fmt.Errorf("host: region %q overlaps %q", r.Name, x.Name)
+	if r.End() < r.Base {
+		return fmt.Errorf("host: region %q at %#x wraps past 2^64", r.Name, r.Base)
+	}
+	// i is the first region based at or above r. The regions are
+	// disjoint, so only i-1 can reach into r from below, and if it does
+	// not, i is the lowest region r can reach.
+	i, hi := 0, len(m.regions)
+	for i < hi {
+		mid := (i + hi) / 2
+		if m.regions[mid].Base < r.Base {
+			i = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	m.regions = append(m.regions, r)
-	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].Base < m.regions[j].Base })
+	if i > 0 && m.regions[i-1].End() > r.Base {
+		return fmt.Errorf("host: region %q overlaps %q", r.Name, m.regions[i-1].Name)
+	}
+	if i < len(m.regions) && m.regions[i].Base < r.End() {
+		return fmt.Errorf("host: region %q overlaps %q", r.Name, m.regions[i].Name)
+	}
+	m.regions = append(m.regions, Region{})
+	copy(m.regions[i+1:], m.regions[i:])
+	m.regions[i] = r
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"strings"
 	"testing"
 
 	"fcc/internal/fabric"
@@ -434,6 +435,11 @@ func TestAddrMapRejectsOverlap(t *testing.T) {
 	}
 	if err := m.Add(Region{Name: "c", Base: 2000, Size: 0}); err == nil {
 		t.Fatal("empty region accepted")
+	}
+	// A region whose end wraps past 2^64 could never be found by Lookup.
+	err := m.Add(Region{Name: "d", Base: 3 << 62, Size: 1 << 63})
+	if err == nil || !strings.Contains(err.Error(), `"d"`) {
+		t.Fatalf("wrapping region: Add returned %v, want an error naming it", err)
 	}
 }
 
