@@ -102,8 +102,9 @@ bench-smoke:
 # fuzz-smoke runs each native fuzz target for about 10 s, one go test
 # -fuzz call per target, since -fuzz takes one target at a time: the
 # flit codec against its bitwise and unpooled references, the ladder
-# engine against the heap executive, and the host address map against
-# its sorting reference. A finding is written to the package's
+# engine and a one-shard coordinator (every serial cluster's run path)
+# against the heap executive, and the host address map against its
+# sorting reference. A finding is written to the package's
 # testdata/fuzz, where plain `go test` replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCRC16$$' -fuzztime 10s ./internal/flit/

@@ -96,16 +96,17 @@ type Config struct {
 	// (endpoint and switch sides). See Cluster.Tracer.
 	TraceFlits int
 
-	// Shards > 1 partitions the cluster into that many failure domains
+	// Shards partitions the cluster into that many failure domains
 	// (contiguous groups of switches plus their attached endpoints),
 	// each running on a private engine, synchronized conservatively by a
 	// sim.Coordinator with the inter-switch propagation delay as the
-	// lookahead window. Same-seed runs produce byte-identical stats
-	// snapshots to the serial (Shards <= 1) build. The centralized
-	// services — Manager, Arbiter, Coherent, Agents, TraceFlits — are
-	// single-engine designs and must stay off under sharding; use
-	// SchedulePlan for deterministic fault injection instead of
-	// NewInjector.
+	// lookahead window. Values below 1 mean 1: a serial cluster is the
+	// one-shard case, whose coordinator runs exactly like a bare engine.
+	// Same-seed runs produce byte-identical stats snapshots at every
+	// shard count. The centralized services — Manager, Arbiter,
+	// Coherent, Agents, TraceFlits — are single-engine designs and need
+	// one shard; use SchedulePlan for deterministic fault injection
+	// instead of NewInjector.
 	Shards int
 
 	// Hooks to override component defaults (nil = defaults).
@@ -125,10 +126,11 @@ func DefaultConfig() Config {
 
 // Cluster is an assembled composable infrastructure.
 type Cluster struct {
+	// Eng is domain 0's engine, Coord.Engine(0), where the centralized
+	// services live. With more than one shard, workloads must schedule
+	// on their host's own engine (see host.Engine).
 	Eng *sim.Engine
-	// Coord synchronizes the failure-domain engines (nil unless
-	// Config.Shards > 1). When set, Eng is domain 0's engine; workloads
-	// must schedule on their host's own engine (see host.Engine).
+	// Coord synchronizes the failure-domain engines, one per shard.
 	Coord   *sim.Coordinator
 	Builder *fabric.Builder
 	Hosts   []*host.Host
@@ -203,32 +205,26 @@ func New(cfg Config) (*Cluster, error) {
 		endpoints++
 	}
 
-	var eng *sim.Engine
-	var b *fabric.Builder
-	var coord *sim.Coordinator
-	if cfg.Shards > 1 {
-		switch {
-		case cfg.Manager, cfg.Arbiter, cfg.Coherent, cfg.Agents, cfg.TraceFlits > 0:
-			return nil, fmt.Errorf("fcc: Shards > 1 cannot host the centralized services (Manager/Arbiter/Coherent/Agents/TraceFlits)")
-		case cfg.Shards > nsw:
-			return nil, fmt.Errorf("fcc: %d shards need at least that many switches, have %d", cfg.Shards, nsw)
-		case spec.Kind == fabric.TopoChain && spec.Pods > 1 && spec.Groups > 1 && spec.Groups%cfg.Shards != 0:
-			return nil, fmt.Errorf("fcc: %d pods do not divide into %d shards (cuts must land on pod boundaries)", spec.Groups, cfg.Shards)
-		}
-		// Default lookahead = the inter-switch propagation delay: every
-		// cross-domain interaction crosses a cut ISL, so no shard can
-		// affect another sooner than one propagation in the future. This
-		// is only the floor — fabric discovery then raises each shard
-		// pair to the minimum propagation over its actual cut links
-		// (the long-haul pod links, in a chain of pods) and releases
-		// pairs with no cut link entirely.
-		coord = sim.NewCoordinator(cfg.Shards, lcfg().Phys.Propagation)
-		b = fabric.NewShardedBuilder(coord, nsw)
-		eng = coord.Engine(0)
-	} else {
-		eng = sim.NewEngine()
-		b = fabric.NewBuilder(eng)
+	shards := max(cfg.Shards, 1)
+	switch {
+	case shards > 1 && (cfg.Manager || cfg.Arbiter || cfg.Coherent || cfg.Agents || cfg.TraceFlits > 0):
+		return nil, fmt.Errorf("fcc: Shards > 1 cannot host the centralized services (Manager/Arbiter/Coherent/Agents/TraceFlits)")
+	case shards > nsw:
+		return nil, fmt.Errorf("fcc: %d shards need at least that many switches, have %d", shards, nsw)
+	case spec.Kind == fabric.TopoChain && spec.Pods > 1 && spec.Groups > 1 && spec.Groups%shards != 0:
+		return nil, fmt.Errorf("fcc: %d pods do not divide into %d shards (cuts must land on pod boundaries)", spec.Groups, shards)
 	}
+	// Default lookahead = the inter-switch propagation delay: every
+	// cross-domain interaction crosses a cut ISL, so no shard can affect
+	// another sooner than one propagation in the future. This is only
+	// the floor — fabric discovery then raises each shard pair to the
+	// minimum propagation over its actual cut links (the long-haul pod
+	// links, in a chain of pods) and releases pairs with no cut link
+	// entirely. The 1 ps floor keeps the window legal for zero-delay
+	// wires, which only one shard (no cut link) can take.
+	coord := sim.NewCoordinator(shards, max(lcfg().Phys.Propagation, 1))
+	b := fabric.NewShardedBuilder(coord, nsw)
+	eng := coord.Engine(0)
 	b.Reserve(nsw, nisl, endpoints)
 	topo, err := fabric.Generate(b, spec, scfg())
 	if err != nil {
@@ -357,7 +353,7 @@ func (c *Cluster) NewHeap(h *host.Host, hcfg uheap.Config, localBytes uint64) (*
 // shared engine; calling them on a sharded cluster would silently mix
 // engines across shard goroutines.
 func (c *Cluster) requireUnsharded(what string) {
-	if c.Coord != nil {
+	if c.Coord.Shards() > 1 {
 		panic(fmt.Sprintf("fcc: %s requires an unsharded cluster (Shards <= 1)", what))
 	}
 }
@@ -529,7 +525,7 @@ func (c *Cluster) SchedulePlan(plan []FaultEvent) error {
 }
 
 func (c *Cluster) scheduleSide(ev FaultEvent, l *link.Link, domain, side int) {
-	c.domainEngine(domain).At(ev.At, func() {
+	c.Coord.Engine(domain).At(ev.At, func() {
 		var err error
 		if ev.Heal {
 			err = l.HealFaultSide(side, ev.Fault.Kind)
@@ -540,13 +536,6 @@ func (c *Cluster) scheduleSide(ev FaultEvent, l *link.Link, domain, side int) {
 			panic(fmt.Sprintf("fcc: fault plan on link %s: %v", ev.Link, err))
 		}
 	})
-}
-
-func (c *Cluster) domainEngine(d int) *sim.Engine {
-	if c.Coord == nil {
-		return c.Eng
-	}
-	return c.Coord.Engine(d)
 }
 
 func (c *Cluster) findLink(name string) *link.Link {
@@ -566,28 +555,20 @@ func (c *Cluster) findLink(name string) *link.Link {
 // Render draws the topology (the Figure 1b regeneration).
 func (c *Cluster) Render() string { return c.Builder.Render() }
 
-// Run drains the simulation (all shards, when sharded).
-func (c *Cluster) Run() {
-	if c.Coord != nil {
-		c.Coord.Run()
-		return
-	}
-	c.Eng.Run()
-}
+// Run drains the simulation on every shard, or stops at the barrier
+// after a Stop on any shard's engine (see sim.Coordinator.Run). At one
+// shard it fires the same events and leaves the same clock as Eng.Run.
+func (c *Cluster) Run() { c.Coord.Run() }
 
-// RunFor advances the simulation by d (all shards, when sharded).
-func (c *Cluster) RunFor(d sim.Time) {
-	if c.Coord != nil {
-		c.Coord.RunFor(d)
-		return
-	}
-	c.Eng.RunFor(d)
-}
+// RunFor advances every shard by d (see sim.Coordinator.RunFor). At one
+// shard it fires the same events and leaves the same clock as
+// Eng.RunFor.
+func (c *Cluster) RunFor(d sim.Time) { c.Coord.RunFor(d) }
 
-// Go starts a workload process on the shared engine. On a sharded
-// cluster, spawn processes on the owning host's engine instead:
-// c.Hosts[i].Engine().Go(...) — a workload touching a host from
-// another shard's engine is a race.
+// Go starts a workload process on Eng, the one engine of an unsharded
+// cluster. With more than one shard it panics: spawn processes on the
+// owning host's engine instead, c.Hosts[i].Engine().Go(...) — a
+// workload touching a host from another shard's engine is a race.
 func (c *Cluster) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
 	c.requireUnsharded("Go (use Hosts[i].Engine().Go)")
 	return c.Eng.Go(name, fn)

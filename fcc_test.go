@@ -1,6 +1,7 @@
 package fcc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -182,11 +183,20 @@ func TestNewRejects(t *testing.T) {
 	}
 
 	// The pod check holds only for chains of multi-switch pods: a line,
-	// or a chain of one-switch groups (a ring), may be cut anywhere.
+	// or a chain of one-switch groups (a ring), may be cut anywhere. One
+	// shard hosts every centralized service, and takes zero-delay wires.
+	zeroProp := func() link.Config {
+		lc := link.DefaultConfig()
+		lc.Phys.Propagation = 0
+		return lc
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
+		{"every service at 1 shard", Config{Hosts: 2, FAMs: 2, Shards: 1,
+			Manager: true, Arbiter: true, Coherent: true, Agents: true, TraceFlits: 64}},
+		{"zero propagation at 1 shard", Config{Hosts: 2, FAMs: 1, Switches: 2, Shards: 1, LinkConfig: zeroProp}},
 		{"line at 3 shards", Config{Hosts: 4, Switches: 4, Shards: 3}},
 		{"ring at 3 shards", Config{Hosts: 4, Switches: 4, Ring: true, Shards: 3}},
 		{"one pod at 2 shards", Config{Hosts: 4, Topology: chain(1, 4), Shards: 2}},
@@ -195,6 +205,49 @@ func TestNewRejects(t *testing.T) {
 	} {
 		if _, err := New(tc.cfg); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestShardCountBoundaries pins where a cluster stops being unsharded:
+// every cluster has a coordinator, Eng is its domain-0 engine, and the
+// helpers that assume one shared engine refuse more than one shard.
+func TestShardCountBoundaries(t *testing.T) {
+	helpers := []struct {
+		name string
+		call func(c *Cluster)
+	}{
+		{"Go", func(c *Cluster) { c.Go("p", func(*sim.Proc) {}) }},
+		{"NewInjector", func(c *Cluster) { c.NewInjector(1) }},
+		{"NewETrans", func(c *Cluster) { c.NewETrans(c.Hosts[0]) }},
+		{"NewTaskRunner", func(c *Cluster) { c.NewTaskRunner(c.Hosts[0], 1) }},
+	}
+	panicOf := func(c *Cluster, call func(*Cluster)) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		call(c)
+		return ""
+	}
+	for _, shards := range []int{0, 1, 2} {
+		c, err := New(Config{Hosts: 4, FAMs: 2, Switches: 4, Ring: true, SpreadHosts: true, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := max(shards, 1); c.Coord.Shards() != want || c.Eng != c.Coord.Engine(0) {
+			t.Fatalf("Shards %d: coordinator of %d shards, Eng is domain 0's: %v; want %d shards on domain 0",
+				shards, c.Coord.Shards(), c.Eng == c.Coord.Engine(0), want)
+		}
+		for _, h := range helpers {
+			msg := panicOf(c, h.call)
+			if shards > 1 && !strings.Contains(msg, "requires an unsharded cluster") {
+				t.Errorf("Shards %d: %s panicked with %q, want an unsharded-cluster refusal", shards, h.name, msg)
+			}
+			if shards <= 1 && msg != "" {
+				t.Errorf("Shards %d: %s panicked: %s", shards, h.name, msg)
+			}
 		}
 	}
 }

@@ -160,8 +160,7 @@ func shapeDigest(c *fcc.Cluster) string {
 		da, db, _ := c.Builder.LinkSideDomains(att.Link)
 		fmt.Fprintf(h, "att %s %d %d\n", att.Link.FaultID(), da, db)
 	}
-	if c.Coord != nil {
-		n := c.Coord.Shards()
+	if n := c.Coord.Shards(); n > 1 {
 		fmt.Fprintf(h, "window %d\n", c.Coord.Window())
 		for src := 0; src < n; src++ {
 			for dst := 0; dst < n; dst++ {

@@ -144,9 +144,6 @@ func streamOp(c *fcc.Cluster, hi, op, localEvery int, rng *sim.RNG) *flit.Packet
 // clusterEvents totals the simulator events fired across every engine —
 // the numerator of fccbench's events/sec throughput metric.
 func clusterEvents(c *fcc.Cluster) uint64 {
-	if c.Coord == nil {
-		return c.Eng.Events()
-	}
 	var n uint64
 	for i := 0; i < c.Coord.Shards(); i++ {
 		n += c.Coord.Engine(i).Events()

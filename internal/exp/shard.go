@@ -84,8 +84,9 @@ func ShardScaleConfig() ShardConfig {
 }
 
 // shardCluster builds the cluster for one run. shards <= 1 builds the
-// classic serial cluster; the topology, seeds, and every device config
-// are identical either way — only the engine partitioning differs.
+// serial, one-shard cluster; the topology, seeds, and every device
+// config are identical either way — only the engine partitioning
+// differs.
 func shardCluster(cfg ShardConfig, shards int) *fcc.Cluster {
 	wire := func(prop sim.Time) func() link.Config {
 		return func() link.Config {

@@ -130,7 +130,9 @@ func (b *Builder) Reserve(switches, isls, endpoints int) {
 // switch i (in AddSwitch order) lands in domain i*Shards/switches, so
 // only block boundaries cut, and endpoints join their home switch's
 // domain. The builder's base engine is domain 0's; every switch and
-// endpoint is created on its own domain's engine.
+// endpoint is created on its own domain's engine. fcc.New assembles
+// every cluster this way, a serial one on a one-shard coordinator;
+// NewBuilder stays the constructor for a fabric on one bare engine.
 func NewShardedBuilder(coord *sim.Coordinator, switches int) *Builder {
 	return &Builder{eng: coord.Engine(0), coord: coord, nsw: switches}
 }

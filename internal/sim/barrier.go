@@ -59,7 +59,8 @@ type coordWorker struct {
 // with the main goroutine — every round would just ping-pong the one P
 // through the scheduler — so the coordinator runs its (byte-identical)
 // sequential path instead. Purely an execution-strategy choice: the
-// equivalence suite pins that both paths produce identical results.
+// equivalence suite sets it both ways to pin that the two paths produce
+// identical results. A one-shard coordinator never spawns a worker.
 var coordParallel = runtime.GOMAXPROCS(0) > 1
 
 // coordSpins bounds the busy-wait before parking. On a single-P runtime
@@ -106,14 +107,13 @@ func (c *Coordinator) stopWorkers() {
 // workerLoop runs one shard: wait for a release, run the engine to the
 // round's horizon, arrive, repeat — until the closing release.
 func (c *Coordinator) workerLoop(shard int, w *coordWorker, epoch uint64, total int64) {
-	e := c.engines[shard]
 	for {
 		epoch = c.bar.awaitEpoch(epoch, w)
 		if c.bar.closing {
 			c.arrive(total)
 			return
 		}
-		e.RunUntil(c.wlimits[shard])
+		c.runShard(shard)
 		c.arrive(total)
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -44,6 +46,14 @@ func tickRecv(a any) {
 	ta.n.recv[ta.shard]++
 }
 
+// setCoordParallel runs the rest of the test with the coordinator's
+// worker path on or off, whatever the runtime's P count.
+func setCoordParallel(t *testing.T, on bool) {
+	old := coordParallel
+	coordParallel = on
+	t.Cleanup(func() { coordParallel = old })
+}
+
 // newTickNet wires shards in a one-directional ring (shard s sends to
 // s+1) and seeds each shard's tick at t = period.
 func newTickNet(c *Coordinator, period, delay, horiz Time, every int) *tickNet {
@@ -73,9 +83,9 @@ func TestCoordinatorLookaheadMatrixWidensWindows(t *testing.T) {
 	const delay = 10 * Microsecond
 	const horiz = Time(Millisecond)
 
+	setCoordParallel(t, false)
 	run := func(wide bool) (*tickNet, uint64) {
 		c := NewCoordinator(3, window)
-		c.Sequential = true
 		if wide {
 			for src := 0; src < 3; src++ {
 				for dst := 0; dst < 3; dst++ {
@@ -140,7 +150,7 @@ func TestMailboxPerPairLookaheadViolation(t *testing.T) {
 func TestCoordinatorIdleJumpUnevenShards(t *testing.T) {
 	const window = 10 * Nanosecond
 	c := NewCoordinator(2, window)
-	c.Sequential = true
+	setCoordParallel(t, false)
 	var lateFired, earlyFires int
 	// Shard 0: a short burst of early events, then silence.
 	for i := 1; i <= 5; i++ {
@@ -166,7 +176,7 @@ func TestCoordinatorIdleJumpUnevenShards(t *testing.T) {
 func TestCoordinatorZeroAllocWindows(t *testing.T) {
 	const window = 100 * Nanosecond
 	c := NewCoordinator(3, window)
-	c.Sequential = true
+	setCoordParallel(t, false)
 	n := &tickNet{
 		c: c, period: 150 * Nanosecond, delay: window, horiz: MaxTime,
 		fires: make([]int, 3), recv: make([]int, 3), ticks: make([]int, 3),
@@ -203,5 +213,190 @@ func TestCoordinatorZeroAllocWindows(t *testing.T) {
 	}
 	if n.recv[1] == 0 || n.recv[2] == 0 {
 		t.Fatal("cross-shard paths not exercised")
+	}
+}
+
+// runAPI is the run API a bare engine and a coordinator share.
+type runAPI interface {
+	Run()
+	RunUntil(Time)
+	RunFor(Time)
+	Now() Time
+}
+
+// TestCoordinatorOneShardMatchesEngine plays call sequences the fuzzer
+// never makes — runs resumed after a drain, a Stop inside Run and inside
+// RunUntil, RunUntil(MaxTime) — on a bare engine and on a one-shard
+// coordinator, and requires the same events at the same times and the
+// same clock after every call.
+func TestCoordinatorOneShardMatchesEngine(t *testing.T) {
+	type script func(e *Engine, r runAPI, fire func(id int) func(), call func(string, func()))
+	for _, tc := range []struct {
+		name string
+		play script
+	}{
+		{"run, run for, new work, run", func(e *Engine, r runAPI, fire func(int) func(), call func(string, func())) {
+			e.At(5*Nanosecond, fire(1))
+			e.At(7*Nanosecond, fire(2))
+			call("Run", r.Run)
+			call("RunFor(100ns)", func() { r.RunFor(100 * Nanosecond) })
+			e.After(3*Nanosecond, fire(3))
+			e.Go("p", func(p *Proc) {
+				fire(4)()
+				p.Sleep(2 * Nanosecond)
+				fire(5)()
+			})
+			call("Run", r.Run)
+			e.After(0, fire(6))
+			call("RunFor(0)", func() { r.RunFor(0) })
+			call("Run", r.Run)
+			e.After(Nanosecond, func() { fire(7)(); e.Stop() })
+			e.After(2*Nanosecond, fire(8))
+			call("RunFor(5ns)", func() { r.RunFor(5 * Nanosecond) })
+			call("RunFor(5ns)", func() { r.RunFor(5 * Nanosecond) })
+		}},
+		{"stop inside run", func(e *Engine, r runAPI, fire func(int) func(), call func(string, func())) {
+			e.At(1*Nanosecond, fire(1))
+			e.At(2*Nanosecond, func() { fire(2)(); e.Stop() })
+			e.At(2*Nanosecond, fire(3)) // a tie left behind by the stop
+			e.At(4*Nanosecond, fire(4))
+			e.Go("p", func(p *Proc) {
+				p.Sleep(6 * Nanosecond)
+				fire(5)()
+				e.Stop()
+				p.Sleep(Nanosecond)
+				fire(6)()
+			})
+			call("Run", r.Run)
+			call("Run", r.Run)
+			call("Run", r.Run)
+			call("RunFor(10ns)", func() { r.RunFor(10 * Nanosecond) })
+		}},
+		{"stop inside run until", func(e *Engine, r runAPI, fire func(int) func(), call func(string, func())) {
+			e.At(1*Nanosecond, fire(1))
+			e.At(3*Nanosecond, func() { fire(2)(); e.Stop() })
+			e.At(3*Nanosecond, fire(3))
+			e.At(4*Nanosecond, fire(4))
+			e.At(9*Nanosecond, func() { fire(5)(); e.Stop() })
+			call("RunUntil(10ns)", func() { r.RunUntil(10 * Nanosecond) })
+			call("RunUntil(2ns)", func() { r.RunUntil(2 * Nanosecond) })
+			call("RunFor(0)", func() { r.RunFor(0) })
+			call("RunFor(1ns)", func() { r.RunFor(Nanosecond) })
+			call("RunUntil(20ns)", func() { r.RunUntil(20 * Nanosecond) })
+			call("RunUntil(20ns)", func() { r.RunUntil(20 * Nanosecond) })
+			call("Run", r.Run)
+		}},
+		{"run until max time", func(e *Engine, r runAPI, fire func(int) func(), call func(string, func())) {
+			e.At(5*Nanosecond, fire(1))
+			e.At(MaxTime, fire(2))
+			call("Run", r.Run)
+			call("RunUntil(MaxTime)", func() { r.RunUntil(MaxTime) })
+			e.At(MaxTime, fire(3))
+			call("RunUntil(MaxTime)", func() { r.RunUntil(MaxTime) })
+			call("RunFor(1ns)", func() { r.RunFor(Nanosecond) })
+			call("Run", r.Run)
+		}},
+	} {
+		play := func(e *Engine, r runAPI) []string {
+			var log []string
+			fire := func(id int) func() {
+				return func() { log = append(log, fmt.Sprintf("fire %d at %d ps", id, e.Now())) }
+			}
+			call := func(name string, run func()) {
+				run()
+				log = append(log, fmt.Sprintf("%s: now %d ps, engine %d ps, pending %d", name, r.Now(), e.Now(), e.Pending()))
+			}
+			tc.play(e, r, fire, call)
+			return log
+		}
+		eng := NewEngine()
+		want := play(eng, eng)
+		c := NewCoordinator(1, Nanosecond)
+		got := play(c.Engine(0), c)
+		if len(got) != len(want) {
+			t.Fatalf("%s: coordinator logged %d lines, engine %d:\n%v\nwant\n%v", tc.name, len(got), len(want), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: line %d: coordinator %q, engine %q", tc.name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCoordinatorRunUntilMaxTime pins that RunUntil(MaxTime) returns at
+// every shard count, with every engine drained and every clock at
+// MaxTime as Engine.RunUntil(MaxTime) leaves it — both from a fresh
+// coordinator and after a Run, which leaves a multi-shard coordinator's
+// clocks at the last round's horizon.
+func TestCoordinatorRunUntilMaxTime(t *testing.T) {
+	const window = 10 * Nanosecond
+	for _, shards := range []int{2, 3} {
+		for _, runFirst := range []bool{false, true} {
+			c := NewCoordinator(shards, window)
+			var fired [2]int // one counter per shard: the shards may run in parallel
+			c.Engine(0).At(5*Nanosecond, func() { fired[0]++ })
+			c.Engine(1).At(7*Nanosecond, func() { fired[1]++ })
+			if runFirst {
+				c.Run()
+				for i := 0; i < shards; i++ {
+					if got := c.Engine(i).Now(); got != window-1 {
+						t.Fatalf("%d shards: after Run, engine %d clock %v, want %v", shards, i, got, window-1)
+					}
+				}
+				if c.Now() != window-1 {
+					t.Fatalf("%d shards: after Run, coordinator at %v, want %v", shards, c.Now(), window-1)
+				}
+			}
+			c.RunUntil(MaxTime)
+			if fired != [2]int{1, 1} {
+				t.Fatalf("%d shards: shards 0 and 1 fired %v events, want one each", shards, fired)
+			}
+			for i := 0; i < shards; i++ {
+				if e := c.Engine(i); e.Pending() != 0 || e.Now() != MaxTime {
+					t.Fatalf("%d shards (run first %v): engine %d has %d pending, clock %v; want drained at MaxTime",
+						shards, runFirst, i, e.Pending(), e.Now())
+				}
+			}
+			if c.Now() != MaxTime {
+				t.Fatalf("%d shards: coordinator at %v, want MaxTime", shards, c.Now())
+			}
+		}
+	}
+}
+
+// TestCoordinatorStopAtBarrier pins Stop across shards: it ends Run at
+// the barrier of the round it fired in, and the next Run resumes the
+// stopped shard from its clock. The frontier must stay at that clock,
+// not at the round's horizon: the event tied with the stop sends to
+// shard 1 with exactly the lookahead, and shard 1 may not have run past
+// that message when it arrives. Both execution paths run it, so -race
+// sees the stop flag cross the worker barrier.
+func TestCoordinatorStopAtBarrier(t *testing.T) {
+	const window = 10 * Nanosecond
+	for _, parallel := range []bool{false, true} {
+		setCoordParallel(t, parallel)
+		c := NewCoordinator(2, window)
+		e0, e1 := c.Engine(0), c.Engine(1)
+		var got []Time // shard 1's events, in fire order
+		rec := func(any) { got = append(got, e1.Now()) }
+		box := c.Mailbox(0, 1)
+		send := func() { box.Send(e0.Now()+window, rec, nil) }
+		e0.At(Nanosecond, e0.Stop)
+		e0.At(Nanosecond, send)
+		e0.At(3*Nanosecond, send)
+		for _, at := range []Time{5, 12, 14} {
+			e1.At2(at*Nanosecond, rec, nil)
+		}
+		c.Run()
+		if e0.Now() != Nanosecond || e0.Pending() != 2 || len(got) != 1 {
+			t.Fatalf("parallel %v, after the stop: shard 0 at %v with %d pending, shard 1 fired at %v; want 1ns, 2 pending, [5ns]",
+				parallel, e0.Now(), e0.Pending(), got)
+		}
+		c.Run()
+		want := []Time{5 * Nanosecond, 11 * Nanosecond, 12 * Nanosecond, 13 * Nanosecond, 14 * Nanosecond}
+		if !slices.Equal(got, want) {
+			t.Fatalf("parallel %v: shard 1 fired at %v, want %v", parallel, got, want)
+		}
 	}
 }

@@ -142,7 +142,7 @@ func TestLadderMatchesHeapReference(t *testing.T) {
 		driveTrace(ref, NewRNG(seed).Intn, 4000, &gotH)
 		ref.Run()
 
-		sameOrder(t, fmt.Sprintf("seed %d", seed), gotL, gotH)
+		sameOrder(t, fmt.Sprintf("seed %d: ladder vs heap", seed), gotL, gotH)
 		if ladder.Now() != ref.Now() {
 			t.Fatalf("seed %d: final clocks differ: %v vs %v", seed, ladder.Now(), ref.Now())
 		}
@@ -166,19 +166,19 @@ func TestLadderMatchesHeapUnderRunUntil(t *testing.T) {
 			t.Fatalf("until %v: ladder fired %d, heap fired %d", until, len(gotL), len(gotH))
 		}
 	}
-	sameOrder(t, "stepped", gotL, gotH)
+	sameOrder(t, "stepped: ladder vs heap", gotL, gotH)
 }
 
-// sameOrder fails the test unless the ladder and heap executives fired
-// the same events in the same order.
-func sameOrder(t *testing.T, label string, gotL, gotH []int) {
+// sameOrder fails the test unless two executives fired the same events
+// in the same order; label names the pair, the first one first.
+func sameOrder(t *testing.T, label string, got, want []int) {
 	t.Helper()
-	if len(gotL) != len(gotH) {
-		t.Fatalf("%s: ladder fired %d events, heap %d", label, len(gotL), len(gotH))
+	if len(got) != len(want) {
+		t.Fatalf("%s: fired %d events against %d", label, len(got), len(want))
 	}
-	for i := range gotL {
-		if gotL[i] != gotH[i] {
-			t.Fatalf("%s: fire order diverges at event %d: ladder=%d heap=%d", label, i, gotL[i], gotH[i])
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: fire order diverges at event %d: %d against %d", label, i, got[i], want[i])
 		}
 	}
 }
@@ -203,41 +203,49 @@ func fuzzPicker(seed uint64, data []byte) func(n int) int {
 	}
 }
 
-// FuzzEngineOrder drives the ladder engine and the heap reference from
-// the same fuzzer-chosen schedule (driveTrace's delay mix: After(0)
-// cascades, sub-bucket and in-window delays, migration from the far
-// tier) and requires the same fire order and the same final clock. A
-// zero step runs both to completion with Run; otherwise both advance in
-// RunUntil increments of step%5µs+1 ps, skipping empty stretches on the
-// same grid, and must have fired the same prefix at every boundary.
+// FuzzEngineOrder drives three executors from the same fuzzer-chosen
+// schedule (driveTrace's delay mix: After(0) cascades, sub-bucket and
+// in-window delays, migration from the far tier): the ladder engine,
+// the heap reference, and a one-shard coordinator's engine, which every
+// cluster's serial runs go through. All three must fire in the same
+// order and end on the same clock. A zero step runs them to completion
+// with Run; otherwise they advance in RunUntil increments of
+// step%5µs+1 ps, skipping empty stretches on the same grid, and must
+// have fired the same prefix at every boundary.
 func FuzzEngineOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, step uint32, data []byte) {
-		var gotL, gotH []int
+		var gotL, gotH, gotC []int
 		ladder := NewEngine()
 		driveTrace(ladder, fuzzPicker(seed, data), 600, &gotL)
 		ref := &heapEngine{}
 		driveTrace(ref, fuzzPicker(seed, data), 600, &gotH)
+		coord := NewCoordinator(1, Nanosecond)
+		driveTrace(coord.Engine(0), fuzzPicker(seed, data), 600, &gotC)
 
 		if step == 0 {
 			ladder.Run()
 			ref.Run()
+			coord.Run()
 		} else {
 			d := Time(step%uint32(5*Microsecond)) + 1
-			for until := Time(0); ladder.Pending() > 0 || len(ref.queue) > 0; {
+			for until := Time(0); ladder.Pending() > 0 || len(ref.queue) > 0 || coord.Engine(0).Pending() > 0; {
 				until += d
 				if len(ref.queue) > 0 && ref.queue[0].at > until {
 					until += (ref.queue[0].at - until) / d * d
 				}
 				ladder.RunUntil(until)
 				ref.RunUntil(until)
-				if len(gotL) != len(gotH) {
-					t.Fatalf("until %v: ladder fired %d, heap fired %d", until, len(gotL), len(gotH))
+				coord.RunUntil(until)
+				if len(gotL) != len(gotH) || len(gotC) != len(gotH) {
+					t.Fatalf("until %v: ladder fired %d, heap %d, coordinator %d", until, len(gotL), len(gotH), len(gotC))
 				}
 			}
 		}
-		sameOrder(t, "fuzz", gotL, gotH)
-		if ladder.Now() != ref.Now() {
-			t.Fatalf("final clocks differ: ladder %v, heap %v", ladder.Now(), ref.Now())
+		sameOrder(t, "fuzz: ladder vs heap", gotL, gotH)
+		sameOrder(t, "fuzz: coordinator vs heap", gotC, gotH)
+		if ladder.Now() != ref.Now() || coord.Engine(0).Now() != ref.Now() || coord.Now() != ref.Now() {
+			t.Fatalf("final clocks differ: ladder %v, heap %v, coordinator engine %v, coordinator %v",
+				ladder.Now(), ref.Now(), coord.Engine(0).Now(), coord.Now())
 		}
 	})
 }
@@ -380,18 +388,15 @@ func runShardNetSerial(domains int, window Time, seed uint64) *shardNet {
 	return n
 }
 
-func runShardNetSharded(domains int, window Time, seed uint64, sequential bool) *shardNet {
+// runShardNetSharded runs the model under a coordinator on its
+// worker-barrier path when parallel is set, even on a single-P runtime
+// (where coordParallel would fall back to sequential), and on its
+// sequential path otherwise: the equivalence test is the proof that the
+// two paths are byte-identical, so it must actually run both.
+func runShardNetSharded(t *testing.T, domains int, window Time, seed uint64, parallel bool) *shardNet {
+	setCoordParallel(t, parallel)
 	n := newShardNet(domains, window, seed)
 	c := NewCoordinator(domains, window)
-	c.Sequential = sequential
-	if !sequential {
-		// Force the worker-barrier path even on a single-P runtime (where
-		// coordParallel would fall back to sequential): this test is the
-		// proof that the two paths are byte-identical, so it must actually
-		// run both.
-		defer func(old bool) { coordParallel = old }(coordParallel)
-		coordParallel = true
-	}
 	for d := 0; d < domains; d++ {
 		n.sched[d] = shardSched{eng: c.Engine(d), box: c.Mailbox(d, (d+1)%domains)}
 	}
@@ -426,8 +431,8 @@ func TestCoordinatorMatchesSerialEngine(t *testing.T) {
 	const window = 10 * Nanosecond
 	for seed := uint64(1); seed <= 12; seed++ {
 		serial := runShardNetSerial(domains, window, seed)
-		seq := runShardNetSharded(domains, window, seed, true)
-		par := runShardNetSharded(domains, window, seed, false)
+		seq := runShardNetSharded(t, domains, window, seed, false)
+		par := runShardNetSharded(t, domains, window, seed, true)
 		diffShardNets(t, "sequential coordinator vs serial", serial, seq)
 		diffShardNets(t, "parallel coordinator vs serial", serial, par)
 		total := 0

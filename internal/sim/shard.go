@@ -72,7 +72,10 @@ import (
 // single-source FIFO streams, so the fabric models satisfy this for
 // the tested topologies; the equivalence suite enforces it empirically
 // (see TestCoordinatorMatchesSerialEngine and the fcc-level
-// shard-equivalence tests).
+// shard-equivalence tests). A one-shard coordinator, every serial
+// cluster's, runs each call as one round on the caller's goroutine and
+// fires the same events with the same clocks as its bare engine
+// (TestCoordinatorOneShardMatchesEngine, FuzzEngineOrder).
 type Coordinator struct {
 	engines []*Engine
 	window  Time       // default lookahead, the floor for every pair
@@ -81,17 +84,12 @@ type Coordinator struct {
 	front   []Time     // per-shard frontier: all events < front[i] fired
 	limits  []Time     // per-shard delivery floor (exclusive round end)
 	wlimits []Time     // per-shard RunUntil target for the current round
-	now     Time       // horizon reached by the last Run*/RunUntil call
+	now     Time       // time reached by the last run call (see Now)
 	merged  []Batch    // barrier merge scratch, recycled every round
 	windows uint64     // rounds synchronized (see Windows)
 	xmsgs   uint64     // cross-shard messages delivered (see Messages)
 
 	bar coordBarrier
-
-	// Sequential forces single-goroutine execution (rounds still run,
-	// shards advance one after another). The result is byte-identical to
-	// the parallel mode; tests use it to pin exactly that.
-	Sequential bool
 }
 
 // Mailbox is a unidirectional cross-shard channel from one shard's
@@ -141,7 +139,9 @@ func (c *Coordinator) Window() Time { return c.window }
 // Engine returns shard i's private engine.
 func (c *Coordinator) Engine(i int) *Engine { return c.engines[i] }
 
-// Now reports the horizon the coordinator has advanced to.
+// Now reports the time the coordinated simulation has reached: the
+// target of the last RunUntil or RunFor, or, after Run or a Stop, the
+// latest engine clock.
 func (c *Coordinator) Now() Time { return c.now }
 
 // Windows reports the number of synchronization rounds run so far —
@@ -224,15 +224,14 @@ func sortBatches(b []Batch) {
 }
 
 // exchange drains every mailbox into its destination engine in the
-// canonical order and reports whether any message moved. Destinations
-// with no inbound traffic cost one emptiness scan; destinations fed by
-// a single source skip the merge scratch entirely (their own buffer is
-// sorted in place and bulk-injected). Buffers and the scratch are
-// recycled — steady state, a round performs zero heap allocations
-// (TestCoordinatorZeroAllocWindows pins this).
-func (c *Coordinator) exchange() bool {
+// canonical order. Destinations with no inbound traffic cost one
+// emptiness scan; destinations fed by a single source skip the merge
+// scratch entirely (their own buffer is sorted in place and
+// bulk-injected). Buffers and the scratch are recycled — steady state,
+// a round performs zero heap allocations (TestCoordinatorZeroAllocWindows
+// pins this).
+func (c *Coordinator) exchange() {
 	n := len(c.engines)
-	moved := false
 	for dst := 0; dst < n; dst++ {
 		var single *Mailbox
 		nonempty := 0
@@ -245,7 +244,6 @@ func (c *Coordinator) exchange() bool {
 		if nonempty == 0 {
 			continue
 		}
-		moved = true
 		if nonempty == 1 {
 			// Single-source fast path: no gather copy. Stable sort keeps
 			// send order on ties, exactly as the merge path would.
@@ -274,47 +272,67 @@ func (c *Coordinator) exchange() bool {
 		// capacity even when a later destination turns out empty.
 		c.merged = buf[:0]
 	}
-	return moved
 }
 
 // minFront reports the lowest shard frontier.
-func (c *Coordinator) minFront() Time {
-	m := c.front[0]
-	for _, f := range c.front[1:] {
-		if f < m {
-			m = f
-		}
+func (c *Coordinator) minFront() Time { return slices.Min(c.front) }
+
+// latest reports the latest engine clock.
+func (c *Coordinator) latest() Time {
+	m := c.engines[0].now
+	for _, e := range c.engines[1:] {
+		m = max(m, e.now)
 	}
 	return m
 }
 
+// runShard runs shard i to its round horizon. A horizon another shard
+// bounds leaves the clock there, as Engine.RunUntil does; the unbounded
+// horizon MaxTime drains the shard like Engine.Run, leaving the clock at
+// its last event.
+func (c *Coordinator) runShard(i int) {
+	if lim := c.wlimits[i]; lim < MaxTime {
+		c.engines[i].RunUntil(lim)
+	} else {
+		c.engines[i].Run()
+	}
+}
+
 // runWindows advances every shard to horizon t (inclusive), round by
-// round. When idle is true it additionally stops at the first barrier
-// where every engine is drained and no messages are in flight — the
-// multi-engine analogue of Engine.Run.
-func (c *Coordinator) runWindows(t Time, idle bool) {
+// round, and reports false if a Stop on some shard's engine ended it at
+// a round's barrier. It also returns once every engine is drained and
+// no messages are in flight; when idle is true that ends the run, the
+// multi-engine analogue of Engine.Run, with Now at the latest engine
+// clock.
+func (c *Coordinator) runWindows(t Time, idle bool) bool {
 	n := len(c.engines)
-	par := !c.Sequential && n > 1 && coordParallel
+	par := n > 1 && coordParallel
 	if par {
 		c.startWorkers()
 		defer c.stopWorkers()
 	}
+	// Work scheduled between runs lands at or after its engine's clock.
+	// A drained Run can leave a frontier far past the clock (MaxTime, at
+	// one shard); bring it back to one past the clock, where a bounded
+	// round leaves it, so the rounds below see that work.
+	for i, e := range c.engines {
+		c.front[i] = min(c.front[i], SaturatingAdd(e.now, 1))
+	}
 	for c.minFront() <= t {
 		// Per-destination safe horizon from the lookahead matrix. A
-		// saturated (or horizon-exceeding) bound means the destination
-		// is free to run to t inclusive.
+		// saturated bound (no other shard constrains the destination) or
+		// one past the horizon means the destination is free to run to t
+		// inclusive.
 		for dst := 0; dst < n; dst++ {
 			safe := MaxTime
 			for src := 0; src < n; src++ {
 				if src == dst {
 					continue
 				}
-				if s := SaturatingAdd(c.front[src], c.la[src*n+dst]); s < safe {
-					safe = s
-				}
+				safe = min(safe, SaturatingAdd(c.front[src], c.la[src*n+dst]))
 			}
 			lim := t
-			if safe <= t {
+			if safe <= t && safe < MaxTime {
 				lim = safe - 1
 			}
 			c.wlimits[dst] = lim
@@ -322,69 +340,65 @@ func (c *Coordinator) runWindows(t Time, idle bool) {
 		}
 		if par {
 			c.releaseWorkers()
-			c.engines[0].RunUntil(c.wlimits[0])
+			c.runShard(0)
 			c.awaitWorkers()
 		} else {
-			for i, e := range c.engines {
-				e.RunUntil(c.wlimits[i])
+			for i := range c.engines {
+				c.runShard(i)
 			}
 		}
 		c.windows++
-		for i := range c.front {
-			if f := SaturatingAdd(c.wlimits[i], 1); f > c.front[i] {
-				c.front[i] = f
+		// A stopped engine has fired every event before its clock and
+		// none after it.
+		stopped := false
+		for i, e := range c.engines {
+			f := SaturatingAdd(c.wlimits[i], 1)
+			if e.stopped {
+				f, stopped = e.now, true
 			}
+			c.front[i] = max(c.front[i], f)
 		}
-		moved := c.exchange()
-		if idle && !moved {
-			drained := true
-			for _, e := range c.engines {
-				if e.Pending() > 0 {
-					drained = false
-					break
-				}
-			}
-			if drained {
-				lim := c.now
-				for _, wl := range c.wlimits {
-					if wl > lim {
-						lim = wl
-					}
-				}
-				c.now = lim
-				return
-			}
+		c.exchange()
+		if stopped {
+			c.now = c.latest()
+			return false
 		}
-		// Idle jump: if every shard's next event is beyond its frontier,
-		// skip every frontier straight to the earliest pending timestamp.
-		// No messages are in flight (exchange just drained them), and any
-		// future send happens at an event >= that timestamp, so it cannot
-		// create work before it.
-		next := MaxTime
+		// Nothing pending anywhere ends the loop: Run returns with Now at
+		// the latest clock, RunUntil goes on to lift every clock to t.
+		// Otherwise, idle jump: if every shard's next event is beyond its
+		// frontier, skip every frontier straight to the earliest pending
+		// timestamp. No messages are in flight (exchange just drained
+		// them), and any future send happens at an event >= that
+		// timestamp, so it cannot create work before it.
+		next, pending := MaxTime, false
 		for _, e := range c.engines {
-			if at, ok := e.NextAt(); ok && at < next {
-				next = at
+			if at, ok := e.NextAt(); ok {
+				next, pending = min(next, at), true
 			}
 		}
-		if next > t {
+		if !pending && idle {
+			c.now = c.latest()
+			return true
+		}
+		if !pending || next > t {
 			break // nothing left within the horizon
 		}
 		for i := range c.front {
-			if c.front[i] < next {
-				c.front[i] = next
-			}
+			c.front[i] = max(c.front[i], next)
 		}
 	}
 	c.now = t
+	return true
 }
 
 // RunUntil advances every shard to time t: all events with timestamps
-// <= t fire, then every engine's clock reads t.
+// <= t fire, then every engine's clock reads t. A Stop on any shard's
+// engine ends it early at that round's barrier, as it ends
+// Engine.RunUntil, and leaves the clocks where the round left them.
 func (c *Coordinator) RunUntil(t Time) {
-	if t < c.now {
+	if t < c.now || !c.runWindows(t, false) {
 		return
 	}
-	c.runWindows(t, false)
 	for _, e := range c.engines {
 		e.RunUntil(t) // lift shards that went idle early up to the horizon
 	}
@@ -395,5 +409,6 @@ func (c *Coordinator) RunUntil(t Time) {
 func (c *Coordinator) RunFor(d Time) { c.RunUntil(SaturatingAdd(c.now, d)) }
 
 // Run advances the coordinated simulation until every shard's queue is
-// drained and no cross-shard messages are in flight.
+// drained and no cross-shard messages are in flight, or until a Stop on
+// any shard's engine ends the round it fired in.
 func (c *Coordinator) Run() { c.runWindows(MaxTime, true) }
