@@ -46,14 +46,17 @@ race:
 	$(GO) test -race ./...
 
 # shard-equiv is the parallel-determinism gate: the coordinator/mailbox
-# unit tests plus the serial-vs-sharded byte-identical-snapshot suite,
-# run under the race detector with -count=1 so a cached pass never
-# masks a fresh data race in the window-barrier machinery. The exp leg
-# pins GOMAXPROCS=4 so the worker-barrier path actually runs (on a
-# single-P runtime the coordinator falls back to sequential execution)
-# and the race detector sees real cross-goroutine traffic.
+# unit tests, the cross-shard link tests, plus the serial-vs-sharded
+# byte-identical-snapshot suite, run under the race detector with
+# -count=1 so a cached pass never masks a fresh data race in the
+# window-barrier machinery. The link and exp legs pin GOMAXPROCS=4 so
+# the worker-barrier path actually runs (on a single-P runtime the
+# coordinator falls back to sequential execution) and the race detector
+# sees real cross-goroutine traffic — for the link leg, wire messages
+# handed back to their sender's engine through the barrier.
 shard-equiv:
 	$(GO) test -race -count=1 -run 'Coordinator|Mailbox|Window' ./internal/sim/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestCross' ./internal/link/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSharded' ./internal/exp/
 
 # fabstore-equiv gates the E11 macro-benchmark's determinism claim: the

@@ -104,24 +104,7 @@ func goldenCases() []goldenCase {
 // switches holding flits that the upstream replay buffer holds too,
 // appear in no other digest.
 func traceReplayDigest() string {
-	c, err := fcc.New(fcc.Config{
-		Hosts: 8, FAMs: 4, FAMCapacity: 1 << 22, Switches: 4, Ring: true, SpreadHosts: true,
-		TraceFlits: 1 << 14,
-		LinkConfig: func() link.Config {
-			lc := link.DefaultConfig()
-			lc.RetryEnabled = true
-			lc.Phys.BER = 0.02
-			return lc
-		},
-		SwitchConfig: func() fabric.SwitchConfig {
-			sc := fabric.DefaultSwitchConfig()
-			sc.OutQueueFlits = 2
-			return sc
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
+	c := traceReplayCluster()
 	var streams [][]int
 	for seed := uint64(1); seed <= 3; seed++ {
 		streams = append(streams, scaleWorkload(c, seed, 40, 1))
@@ -144,6 +127,31 @@ func traceReplayDigest() string {
 	h.Write(raw)
 	fmt.Fprintf(h, "%d\n", committed)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// traceReplayCluster builds traceReplayDigest's cluster: a 4-switch
+// ring of links retrying at BER 0.02, tracer on, 2-flit switch output
+// queues.
+func traceReplayCluster() *fcc.Cluster {
+	c, err := fcc.New(fcc.Config{
+		Hosts: 8, FAMs: 4, FAMCapacity: 1 << 22, Switches: 4, Ring: true, SpreadHosts: true,
+		TraceFlits: 1 << 14,
+		LinkConfig: func() link.Config {
+			lc := link.DefaultConfig()
+			lc.RetryEnabled = true
+			lc.Phys.BER = 0.02
+			return lc
+		},
+		SwitchConfig: func() fabric.SwitchConfig {
+			sc := fabric.DefaultSwitchConfig()
+			sc.OutQueueFlits = 2
+			return sc
+		},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // shapeDigest hashes what a cluster's wiring decides: the rendered

@@ -2,12 +2,14 @@ package flit
 
 import "fmt"
 
-// Pool recycles Flit objects and their payload buffers for one link
-// direction. The simulation engine fires one event at a time, so the
-// pool is deliberately a plain free list — no sync.Pool, whose
+// Pool recycles Flit objects and their payload buffers of one flit
+// mode. The link layer keeps one per mode per simulation engine, shared
+// by every link on it (link.home). The engine fires one event at a time,
+// so the pool is deliberately a plain free list — no sync.Pool, whose
 // scheduler-dependent reuse order would leak nondeterminism into
 // allocation patterns (and whose per-P caches defeat the engine's
-// single-threaded locality anyway).
+// single-threaded locality anyway). A flit stays with the pool that
+// minted it: releasing it into another pool panics.
 //
 // Ownership is reference-counted because one flit can be held by two
 // parties at once in retry mode: the sender's replay buffer and the
@@ -20,6 +22,7 @@ type Pool struct {
 	mode Mode
 	free *Flit  // recycled flits, LIFO for cache warmth
 	raw  []byte // Encode scratch: header + payload staging
+	live int    // flits handed out and not yet back (see Live)
 }
 
 // NewPool returns an empty pool producing flits of the given mode.
@@ -29,6 +32,11 @@ func NewPool(m Mode) *Pool {
 
 // Mode reports the flit mode this pool encodes for.
 func (pl *Pool) Mode() Mode { return pl.mode }
+
+// Live reports the flits the pool has handed out and not had back: zero
+// once every holder has let go of every flit, so a nonzero count when
+// the simulation has drained is a leak.
+func (pl *Pool) Live() int { return pl.live }
 
 // Get returns a flit with refs=1 and a payload buffer of PayloadBytes
 // capacity. The payload contents are stale; callers must overwrite (the
@@ -41,6 +49,7 @@ func (pl *Pool) Get() *Flit {
 		pl.free = f.next
 		f.next = nil
 	}
+	pl.live++
 	f.refs = 1
 	f.Seq = 0
 	f.Last = false
@@ -92,6 +101,7 @@ func (pl *Pool) Release(f *Flit) {
 	f.refs = poolFree
 	f.next = pl.free
 	pl.free = f
+	pl.live--
 }
 
 // Encode splits a packet into flits drawn from the pool (each refs=1,

@@ -120,3 +120,54 @@ func TestRetransmitZeroAlloc(t *testing.T) {
 		t.Fatalf("16 NAK'd packets allocate %.0f, against %.0f without the NAK; want no more", naked, plain)
 	}
 }
+
+// TestLinksShareEngineRecycling pins the link layer's recycling scope:
+// every port on an engine draws from one flit pool per flit mode and one
+// set of record free lists, so the flit or record one link lets go of
+// is the next one another link draws. A port on another engine draws
+// from its own.
+func TestLinksShareEngineRecycling(t *testing.T) {
+	eng := sim.NewEngine()
+	link := func(eng *sim.Engine, name string, mode flit.Mode) *Link {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		l, err := New(eng, name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	x, y := link(eng, "x", flit.Mode68), link(eng, "y", flit.Mode68)
+	for _, p := range []*Port{x.B(), y.A(), y.B()} {
+		if p.pool != x.A().pool {
+			t.Fatalf("port %s draws from another flit pool than port %s on the same engine", p.Name(), x.A().Name())
+		}
+	}
+	if w := link(eng, "w", flit.Mode256); w.A().pool == x.A().pool || w.A().pool.Mode() != flit.Mode256 {
+		t.Fatal("a 256B link shares the 68B links' flit pool")
+	}
+	if z := link(sim.NewEngine(), "z", flit.Mode68); z.A().pool == x.A().pool {
+		t.Fatal("links on two engines share a flit pool")
+	}
+
+	f := x.A().pool.Get()
+	x.A().pool.Release(f)
+	if g := y.B().pool.Get(); g != f {
+		t.Fatal("the flit link x released is not the next one link y draws")
+	}
+	tp := x.A().getTxPacket()
+	x.A().putTxPacket(tp)
+	if got := y.B().getTxPacket(); got != tp {
+		t.Fatal("the txPacket link x released is not the next one link y draws")
+	}
+	m := x.B().getMsg()
+	x.B().putMsg(m)
+	if got := y.A().getMsg(); got != m || got.p != y.A() {
+		t.Fatal("the linkMsg link x released is not the next one link y draws, set to y's port")
+	}
+	r := x.A().getRelease()
+	r.release()
+	if got := y.B().getRelease(); got != r || got.p != y.B() {
+		t.Fatal("the pktRelease link x released is not the next one link y draws, set to y's port")
+	}
+}

@@ -8,8 +8,10 @@ import (
 
 // tickNet is a tiny self-perpetuating multi-shard model for coordinator
 // unit tests: each shard runs a periodic local tick that reschedules
-// itself and optionally sends a cross-shard message per tick. All args
-// are preallocated, so steady-state rounds are allocation-free.
+// itself and optionally sends a cross-shard message per tick. Tick args
+// are preallocated, and each message's arg is handed back by its
+// receiver and reused by its sender, so steady-state rounds are
+// allocation-free.
 type tickNet struct {
 	c      *Coordinator
 	period Time
@@ -27,6 +29,14 @@ type tickArg struct {
 	shard int
 }
 
+// tickMsg is a tickNet message: minted only while the sender's mailbox
+// has no handed-back arg to reuse.
+type tickMsg struct {
+	n     *tickNet
+	box   *Mailbox
+	shard int // sender
+}
+
 func tickFire(a any) {
 	ta := a.(*tickArg)
 	n, s := ta.n, ta.shard
@@ -34,7 +44,11 @@ func tickFire(a any) {
 	n.ticks[s]++
 	e := n.c.Engine(s)
 	if b := n.boxes[s]; b != nil && n.every > 0 && n.ticks[s]%n.every == 0 {
-		b.Send(e.Now()+n.delay, tickRecv, a)
+		m, _ := b.Reuse().(*tickMsg)
+		if m == nil {
+			m = &tickMsg{n: n, box: b, shard: s}
+		}
+		b.Send(e.Now()+n.delay, tickRecv, m)
 	}
 	if next := e.Now() + n.period; next <= n.horiz {
 		e.At2(next, tickFire, a)
@@ -42,8 +56,9 @@ func tickFire(a any) {
 }
 
 func tickRecv(a any) {
-	ta := a.(*tickArg)
-	ta.n.recv[ta.shard]++
+	m := a.(*tickMsg)
+	m.n.recv[m.shard]++
+	m.box.Return(m)
 }
 
 // setCoordParallel runs the rest of the test with the coordinator's
@@ -170,9 +185,10 @@ func TestCoordinatorIdleJumpUnevenShards(t *testing.T) {
 // TestCoordinatorZeroAllocWindows pins the steady-state allocation
 // contract of the round loop: frontier bookkeeping, mailbox buffers,
 // the merge scratch (both the single-source fast path and the
-// multi-source merge), and bulk injection must all run garbage-free
-// once warm — including destinations that alternate empty and busy,
-// which is exactly the sequence that used to regrow the scratch.
+// multi-source merge), bulk injection, and the message args handed back
+// and reused must all run garbage-free once warm — including
+// destinations that alternate empty and busy, which is exactly the
+// sequence that used to regrow the scratch.
 func TestCoordinatorZeroAllocWindows(t *testing.T) {
 	const window = 100 * Nanosecond
 	c := NewCoordinator(3, window)
@@ -213,6 +229,93 @@ func TestCoordinatorZeroAllocWindows(t *testing.T) {
 	}
 	if n.recv[1] == 0 || n.recv[2] == 0 {
 		t.Fatal("cross-shard paths not exercised")
+	}
+}
+
+// TestMailboxHandsArgsBack runs two shards that message each other on
+// the worker path. Every message's arg is drawn with Reuse, minted only
+// when none is left, and handed back with Return by its receiver. A
+// reused arg must be one its receiver handed back, never one still in
+// flight, and once the run drains every arg ever minted must be back on
+// its sender's side exactly once. An arg's state is written by the
+// receiver and read by the sender, so under -race the barrier must order
+// the two.
+func TestMailboxHandsArgsBack(t *testing.T) {
+	setCoordParallel(t, true)
+	const window = 10 * Nanosecond
+	const horiz = 20 * Microsecond
+	type arg struct {
+		id       int
+		inFlight bool
+	}
+	c := NewCoordinator(2, window)
+	boxes := [2]*Mailbox{c.Mailbox(0, 1), c.Mailbox(1, 0)}
+	var (
+		minted [2]int // per sender shard
+		sent   [2]int
+		reused [2]int // reuses of an arg still in flight, per sender
+		recv   [2]int // per receiver shard
+		stale  [2]int // arrivals of an arg not in flight, per receiver
+	)
+	for s := 0; s < 2; s++ {
+		e, box, d := c.Engine(s), boxes[s], 1-s
+		deliver := func(a any) {
+			x := a.(*arg)
+			if !x.inFlight {
+				stale[d]++
+			}
+			recv[d]++
+			x.inFlight = false
+			box.Return(x)
+		}
+		var tick func()
+		tick = func() {
+			// Four messages a tick, delays one to four windows: some land in
+			// the next round, some later, some tie.
+			for k := 0; k < 4; k++ {
+				x, _ := box.Reuse().(*arg)
+				if x == nil {
+					x = &arg{id: minted[s]}
+					minted[s]++
+				} else if x.inFlight {
+					reused[s]++
+				}
+				x.inFlight = true
+				sent[s]++
+				box.Send(e.Now()+Time(k+1)*window, deliver, x)
+			}
+			if next := e.Now() + 7*Nanosecond; next <= horiz {
+				e.At(next, tick)
+			}
+		}
+		e.At(Time(s+1)*Nanosecond, tick)
+	}
+	c.Run()
+	for s := 0; s < 2; s++ {
+		if reused[s] != 0 || stale[1-s] != 0 {
+			t.Fatalf("shard %d reused %d args still in flight; shard %d received %d args not in flight",
+				s, reused[s], 1-s, stale[1-s])
+		}
+		if recv[1-s] != sent[s] {
+			t.Fatalf("shard %d sent %d messages, shard %d received %d", s, sent[s], 1-s, recv[1-s])
+		}
+		if minted[s]*10 > sent[s] {
+			t.Fatalf("shard %d minted %d args for %d messages: handed-back args are not being reused",
+				s, minted[s], sent[s])
+		}
+		seen := make([]bool, minted[s])
+		for a := boxes[s].Reuse(); a != nil; a = boxes[s].Reuse() {
+			x := a.(*arg)
+			if seen[x.id] {
+				t.Fatalf("shard %d: arg %d is on its side twice", s, x.id)
+			}
+			seen[x.id] = true
+		}
+		for id, ok := range seen {
+			if !ok {
+				t.Fatalf("shard %d: arg %d of %d never came back", s, id, minted[s])
+			}
+		}
 	}
 }
 

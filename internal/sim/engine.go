@@ -81,7 +81,14 @@ type Engine struct {
 	// It is a guard against accidental infinite simulations in tests.
 	EventLimit uint64
 	fired      uint64
+
+	// locals holds the per-engine state model packages keep here (see
+	// Local); a package or two, so a scan beats a map.
+	locals []engineLocal
 }
+
+// engineLocal is one Local entry.
+type engineLocal struct{ key, val any }
 
 // Ladder geometry. 1.024ns buckets over a ~1.05µs window: per-hop fabric
 // events (serialization of a 68B flit ≈ 2ns, propagation ≈ 10ns, credit
@@ -139,6 +146,24 @@ func NewEngine() *Engine {
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// Local returns the value the engine keeps for key, storing mk's result
+// on the first call. It is the home of state a model package shares
+// among all its components on one engine — the link layer keeps its flit
+// pools and record free lists here — so that state lives and dies with
+// the engine and, like the engine, is touched by one goroutine at a
+// time. Keys compare as map keys do; an unexported type of the calling
+// package, as context values use, keeps packages from colliding.
+func (e *Engine) Local(key any, mk func() any) any {
+	for _, l := range e.locals {
+		if l.key == key {
+			return l.val
+		}
+	}
+	v := mk()
+	e.locals = append(e.locals, engineLocal{key, v})
+	return v
+}
 
 // Pending reports the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int {

@@ -94,13 +94,21 @@ type Coordinator struct {
 
 // Mailbox is a unidirectional cross-shard channel from one shard's
 // engine to another's. Sends are buffered locally during a round and
-// delivered — deterministically ordered — at the barrier. A Mailbox
-// must only be used from model code running on its source shard, and
-// must be created before the simulation starts running.
+// delivered — deterministically ordered — at the barrier. It carries
+// the message records back too: the destination hands each arg it has
+// consumed back with Return, the barrier moves those to the source's
+// side, and the source's Reuse draws one for its next Send, so steady
+// cross-shard traffic allocates nothing. Send and Reuse run on the
+// source shard, Return on the destination shard: during a round each
+// side touches only its own lists, and the exchange between rounds,
+// when no worker runs, is the one place both are touched. A Mailbox must
+// be created before the simulation starts running.
 type Mailbox struct {
 	c        *Coordinator
 	src, dst int
 	out      []Batch
+	back     []any // consumed args handed back this round (destination side)
+	spare    []any // args handed back by past rounds (source side)
 }
 
 // NewCoordinator returns a coordinator over n fresh engines with the
@@ -207,6 +215,26 @@ func (m *Mailbox) Send(at Time, fn func(any), arg any) {
 	m.out = append(m.out, Batch{At: at, Fn: fn, Arg: arg})
 }
 
+// Reuse returns an arg the destination handed back and a past barrier
+// moved to this side, the last one moved first, or nil if there is none.
+// It must be called from the source shard.
+func (m *Mailbox) Reuse() any {
+	n := len(m.spare) - 1
+	if n < 0 {
+		return nil
+	}
+	a := m.spare[n]
+	m.spare[n] = nil
+	m.spare = m.spare[:n]
+	return a
+}
+
+// Return hands a delivered arg back to the source once the destination
+// is done with it: the next barrier moves it to the source's side, where
+// Reuse draws it. It must be called from the destination shard, and the
+// destination must not touch the arg afterwards.
+func (m *Mailbox) Return(arg any) { m.back = append(m.back, arg) }
+
 // sortBatches stable-sorts by timestamp: equal-at messages keep their
 // (src, send order) gathering sequence, so injection order — and with
 // it the destination engine's tie-break sequence — is a pure function
@@ -224,7 +252,8 @@ func sortBatches(b []Batch) {
 }
 
 // exchange drains every mailbox into its destination engine in the
-// canonical order. Destinations with no inbound traffic cost one
+// canonical order, and moves the args each destination handed back to
+// their source's side. Destinations with no inbound traffic cost one
 // emptiness scan; destinations fed by a single source skip the merge
 // scratch entirely (their own buffer is sorted in place and
 // bulk-injected). Buffers and the scratch are recycled — steady state,
@@ -236,7 +265,16 @@ func (c *Coordinator) exchange() {
 		var single *Mailbox
 		nonempty := 0
 		for src := 0; src < n; src++ {
-			if b := c.boxes[src*n+dst]; b != nil && len(b.out) > 0 {
+			b := c.boxes[src*n+dst]
+			if b == nil {
+				continue
+			}
+			if len(b.back) > 0 {
+				b.spare = append(b.spare, b.back...)
+				clear(b.back)
+				b.back = b.back[:0]
+			}
+			if len(b.out) > 0 {
 				nonempty++
 				single = b
 			}
