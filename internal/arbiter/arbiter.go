@@ -276,30 +276,16 @@ func (c *Client) ctrl(op flit.Op, dst flit.PortID, bytes uint64) *sim.Future[*fl
 }
 
 // Reserve asks for bytes of bandwidth credit toward dst; the future
-// resolves when the arbiter grants (possibly after queueing).
-func (c *Client) Reserve(dst flit.PortID, bytes uint64) *sim.Future[struct{}] {
-	f := sim.NewFuture[struct{}]()
-	c.ctrl(flit.OpCtrlCreditReserve, dst, bytes).OnComplete(func(_ *flit.Packet, err error) {
-		if err != nil {
-			f.Fail(err)
-			return
-		}
-		f.Complete(struct{}{})
-	})
-	return f
+// resolves to the grant when the arbiter grants (possibly after
+// queueing).
+func (c *Client) Reserve(dst flit.PortID, bytes uint64) *sim.Future[*flit.Packet] {
+	return c.ctrl(flit.OpCtrlCreditReserve, dst, bytes)
 }
 
-// Reclaim returns bytes of credit toward dst.
-func (c *Client) Reclaim(dst flit.PortID, bytes uint64) *sim.Future[struct{}] {
-	f := sim.NewFuture[struct{}]()
-	c.ctrl(flit.OpCtrlCreditReclaim, dst, bytes).OnComplete(func(_ *flit.Packet, err error) {
-		if err != nil {
-			f.Fail(err)
-			return
-		}
-		f.Complete(struct{}{})
-	})
-	return f
+// Reclaim returns bytes of credit toward dst; the future resolves to the
+// acknowledgement.
+func (c *Client) Reclaim(dst flit.PortID, bytes uint64) *sim.Future[*flit.Packet] {
+	return c.ctrl(flit.OpCtrlCreditReclaim, dst, bytes)
 }
 
 // QueryP reports available credit bytes toward dst.

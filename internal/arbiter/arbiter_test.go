@@ -81,9 +81,9 @@ func (r *rig) drive(useArbiter bool) float64 {
 				send(finish)
 				return
 			}
-			cl.Reserve(famID, 512).OnComplete(func(struct{}, error) {
+			cl.Reserve(famID, 512).OnComplete(func(*flit.Packet, error) {
 				send(func() {
-					cl.Reclaim(famID, 512).OnComplete(func(struct{}, error) { finish() })
+					cl.Reclaim(famID, 512).OnComplete(func(*flit.Packet, error) { finish() })
 				})
 			})
 		}
@@ -156,7 +156,7 @@ func TestArbiterWindowEnforced(t *testing.T) {
 	granted := 0
 	cl := NewClient(r.writers[0], r.arb.ID())
 	r.eng.Go("spammer", func(p *sim.Proc) {
-		fs := make([]*sim.Future[struct{}], 0, 8)
+		fs := make([]*sim.Future[*flit.Packet], 0, 8)
 		for i := 0; i < 8; i++ {
 			fs = append(fs, cl.Reserve(famID, 512))
 		}
@@ -187,7 +187,7 @@ func TestArbiterQueuesWhenSaturated(t *testing.T) {
 	r.eng.After(0, func() {
 		for i := 0; i < 3; i++ {
 			i := i
-			cl.Reserve(famID, 512).OnComplete(func(struct{}, error) {
+			cl.Reserve(famID, 512).OnComplete(func(*flit.Packet, error) {
 				order = append(order, i)
 				r.eng.After(sim.Microsecond, func() { cl.Reclaim(famID, 512) })
 			})
@@ -286,7 +286,7 @@ func TestAIMDWindowShrinksUnderCongestion(t *testing.T) {
 	var windows []uint64
 	eng.Go("load", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
-			cl.Reserve(dst, 512).OnComplete(func(struct{}, error) {
+			cl.Reserve(dst, 512).OnComplete(func(*flit.Packet, error) {
 				eng.After(10*sim.Microsecond, func() { cl.Reclaim(dst, 512) })
 			})
 			p.Sleep(500 * sim.Nanosecond)

@@ -377,17 +377,9 @@ func clientSendFire(a any) {
 	req := op.req
 	op.req = nil
 	c := op.c
-	ep := c.h.Endpoint()
-	if ep.Timeout > 0 {
-		// Bounded retry rides out link-fault windows on hosts whose
-		// endpoint enforces a timeout (fault experiments).
-		ep.RequestRetry(req, c.cfg.RetryAttempts, c.cfg.RetryBackoff).OnComplete(op.respFn)
-		return
-	}
-	// Unbounded endpoint: a plain request can never time out, so skip
-	// the retry wrapper (it clones the packet and allocates a future —
-	// measurable on the read-miss hot path).
-	ep.Request(req).OnComplete(op.respFn)
+	// Bounded retry rides out link-fault windows on hosts whose endpoint
+	// enforces a timeout (fault experiments).
+	c.h.Endpoint().RequestRetry(req, c.cfg.RetryAttempts, c.cfg.RetryBackoff).OnComplete(op.respFn)
 }
 
 // granted applies a directory response to the op that requested it.

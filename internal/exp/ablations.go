@@ -274,9 +274,9 @@ func ArbiterAblation() ArbiterResult {
 					send(fin)
 					return
 				}
-				cl.Reserve(famID, 512).OnComplete(func(struct{}, error) {
+				cl.Reserve(famID, 512).OnComplete(func(*flit.Packet, error) {
 					send(func() {
-						cl.Reclaim(famID, 512).OnComplete(func(struct{}, error) { fin() })
+						cl.Reclaim(famID, 512).OnComplete(func(*flit.Packet, error) { fin() })
 					})
 				})
 			}

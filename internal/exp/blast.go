@@ -213,8 +213,9 @@ func blastSwitchKill(seed uint64, withMgr bool) (BlastVariant, string, float64, 
 // second ISL's lanes and leaks credits on a host link, so every fault
 // kind fires) under a mixed workload — per-host memory streams, inline
 // elastic transactions from host0, and FAA invocations from host1. The
-// returned snapshot bytes are the determinism witness.
-func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []byte) {
+// returned snapshot bytes are the determinism witness; the drained
+// cluster comes last, for audits of its books.
+func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []byte, *fcc.Cluster) {
 	c := blastCluster(6, 2, true)
 	inj := c.NewInjector(seed)
 	rng := sim.NewRNG(seed).Fork(0xb1a57)
@@ -338,7 +339,7 @@ func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []b
 	if err != nil {
 		panic(err)
 	}
-	return v, kills, snap, raw
+	return v, kills, snap, raw, c
 }
 
 // BlastRadius runs the blast-radius experiment at the given seed: the
@@ -348,8 +349,8 @@ func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []b
 func BlastRadius(seed uint64) *BlastRadiusResult {
 	withMgr, victim, p50, max := blastSwitchKill(seed, true)
 	noMgr, _, _, _ := blastSwitchKill(seed, false)
-	full, kills, snap, raw := blastFullPlan(seed)
-	full2, _, _, raw2 := blastFullPlan(seed)
+	full, kills, snap, raw, _ := blastFullPlan(seed)
+	full2, _, _, raw2, _ := blastFullPlan(seed)
 	storm := ScaleStorm(seed, ScaleStormConfig(), false)
 	return &BlastRadiusResult{
 		Seed:               seed,

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBlastFullPlanAccountsEveryTransaction(t *testing.T) {
-	v, kills, snap, raw := blastFullPlan(3)
+	v, kills, snap, raw, _ := blastFullPlan(3)
 	if v.Unaccounted != 0 {
 		t.Fatalf("%d transactions unaccounted (%d issued, %d committed, %d typed)",
 			v.Unaccounted, v.Issued, v.Committed, v.TypedErrors)
@@ -42,8 +42,8 @@ func TestBlastFullPlanAccountsEveryTransaction(t *testing.T) {
 }
 
 func TestBlastFullPlanIsSeedDeterministic(t *testing.T) {
-	v1, _, _, raw1 := blastFullPlan(9)
-	v2, _, _, raw2 := blastFullPlan(9)
+	v1, _, _, raw1, _ := blastFullPlan(9)
+	v2, _, _, raw2, _ := blastFullPlan(9)
 	if v1 != v2 {
 		t.Fatalf("same-seed accounting differs:\n%+v\nvs\n%+v", v1, v2)
 	}

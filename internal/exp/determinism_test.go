@@ -16,8 +16,8 @@ func TestBlastRadiusDeterministicAcrossSeeds(t *testing.T) {
 	seeds := []uint64{7, 0xfcc}
 	raws := make([][]byte, len(seeds))
 	for i, seed := range seeds {
-		v1, kills1, _, raw1 := blastFullPlan(seed)
-		v2, kills2, _, raw2 := blastFullPlan(seed)
+		v1, kills1, _, raw1, _ := blastFullPlan(seed)
+		v2, kills2, _, raw2, _ := blastFullPlan(seed)
 		if v1 != v2 {
 			t.Fatalf("seed %d: same-seed accounting differs:\n%+v\nvs\n%+v", seed, v1, v2)
 		}

@@ -401,7 +401,7 @@ func (g *byteGate) release(n uint64) {
 	g.inUse -= n
 	for len(g.waiters) > 0 && g.inUse+g.waiters[0].need <= g.limit {
 		w := g.waiters[0]
-		g.waiters = g.waiters[1:]
+		g.waiters = popFront(g.waiters)
 		g.inUse += w.need
 		w.wake()
 	}
@@ -433,7 +433,7 @@ func (c *Client) walAcquireP(p *sim.Proc, si int) int {
 		}
 	}
 	s := sp.free[0]
-	sp.free = sp.free[1:]
+	sp.free = popFront(sp.free)
 	return s
 }
 
@@ -441,7 +441,7 @@ func (sp *slotPool) release(slot int) {
 	sp.free = append(sp.free, slot)
 	if len(sp.waiters) > 0 {
 		w := sp.waiters[0]
-		sp.waiters = sp.waiters[1:]
+		sp.waiters = popFront(sp.waiters)
 		w()
 	}
 }
@@ -452,4 +452,15 @@ func (sp *slotPool) drain() {
 	for _, w := range ws {
 		w()
 	}
+}
+
+// popFront drops q's first entry in place, so a queue keeps its array
+// for good where q[1:] would walk forward through it and regrow it. The
+// shift copies the queue, which holds at most the client's parked
+// operations (64 under the workload driver). The order stays FIFO: a
+// WAL slot decides where its put's intent record goes.
+func popFront[T any](q []T) []T {
+	n := copy(q, q[1:])
+	clear(q[n:])
+	return q[:n]
 }

@@ -225,12 +225,3 @@ func (p *Packet) Response(op Op, respSize uint32) *Packet {
 		Size: respSize,
 	}
 }
-
-// Clone returns a deep copy of the packet.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	if p.Data != nil {
-		q.Data = append([]byte(nil), p.Data...)
-	}
-	return &q
-}

@@ -230,8 +230,9 @@ func TestFAMAtomicThroughFabric(t *testing.T) {
 	eng.Go("driver", func(p *sim.Proc) {
 		req := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemAtomic, Dst: f.ID(),
 			Addr: 0x100, Size: 8, Data: []byte{5, 0, 0, 0, 0, 0, 0, 0}}
+		again := *req
 		h.Request(req).MustAwait(p)
-		resp := h.Request(req.Clone()).MustAwait(p)
+		resp := h.Request(&again).MustAwait(p)
 		prev = 0
 		for i := 7; i >= 0; i-- {
 			prev = prev<<8 | uint64(resp.Data[i])

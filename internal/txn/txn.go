@@ -10,6 +10,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fcc/internal/flit"
 	"fcc/internal/link"
@@ -26,7 +27,9 @@ var ErrTimeout = errors.New("txn: request timed out")
 var ErrDeviceDown = errors.New("txn: device unreachable")
 
 // Sender is anything that can emit a packet toward the fabric — a link
-// port, or a loopback in tests.
+// port, or a loopback in tests. A sender is done with pkt when Send
+// returns (link.Port.Send encodes it into flits at once), so a request
+// can send the same packet again.
 type Sender interface {
 	Send(pkt *flit.Packet)
 }
@@ -279,57 +282,111 @@ func (e *Endpoint) Dispatch(pkt *flit.Packet) {
 	f.Complete(pkt)
 }
 
-// reqTimer is the recyclable state behind a request's timeout event,
-// scheduled closure-free via After2. The firing event is the sole owner
-// at expiry, so the record returns to the free list exactly once.
+// reqTimer is the pooled state of a request with a timeout: its packet,
+// future and retry budget. One event owns it at a time, the pending
+// timeout or the pending re-send (both closure-free via After2), and it
+// returns to the free list from the timeout that ends the request or
+// finds it answered.
 type reqTimer struct {
-	e    *Endpoint
-	f    *sim.Future[*flit.Packet]
-	tag  uint16
-	op   flit.Op
-	dst  flit.PortID
-	next *reqTimer
+	e        *Endpoint
+	f        *sim.Future[*flit.Packet]
+	pkt      *flit.Packet
+	backoff  sim.Time // wait before the next re-send; doubles per attempt
+	n        int32    // attempts sent
+	attempts int32    // the budget; 0 marks a plain Request
+	next     *reqTimer
 }
 
 func reqTimerFire(a any) {
 	t := a.(*reqTimer)
-	e := t.e
+	e, pkt := t.e, t.pkt
 	// Pointer compare: only time out if THIS request is still the one
-	// pending on the tag (the tag cannot have been reused for another
-	// while tombstoned).
-	if e.pend[t.tag] == t.f {
-		e.pend[t.tag] = nil
+	// pending on the tag (a tombstoned tag cannot have been reused). Once
+	// answered, pkt is the caller's again: bounds-check what it says.
+	if tag := pkt.Tag; int(tag) < len(e.pend) && e.pend[tag] == t.f {
+		e.pend[tag] = nil
 		e.npend--
-		e.setTomb(t.tag)
+		e.setTomb(tag)
 		e.tags.Release()
 		e.Timeouts.Inc()
-		t.f.Fail(fmt.Errorf("%w: %v to %d after %v", ErrTimeout, t.op, t.dst, e.Timeout))
+		if t.n < t.attempts {
+			e.Retries.Inc()
+			e.eng.After2(t.backoff, reqTimerResend, t)
+			return
+		}
+		err := fmt.Errorf("%w: %v to %d after %v", ErrTimeout, pkt.Op, pkt.Dst, e.Timeout)
+		if t.attempts > 0 {
+			err = fmt.Errorf("%w: %d attempts: %w", ErrDeviceDown, t.n, err)
+		}
+		t.f.Fail(err)
 	}
-	t.f = nil
+	t.f, t.pkt = nil, nil
 	t.next = e.timerFree
 	e.timerFree = t
+}
+
+func reqTimerResend(a any) {
+	t := a.(*reqTimer)
+	t.backoff *= 2
+	t.e.acquire(t.pkt, t.f, t)
 }
 
 // Request sends a request packet (Src and Tag are filled in) and returns
 // a future resolving to the response. If the outstanding window is full,
 // the send waits for a tag — the future covers that wait too, exactly
-// like a full MSHR stalls a real pipeline.
+// like a full MSHR stalls a real pipeline. With a Timeout, expiry reads
+// the tag, op and destination back from pkt, so pkt must stay unchanged
+// until the future resolves.
 func (e *Endpoint) Request(pkt *flit.Packet) *sim.Future[*flit.Packet] {
+	return e.request(pkt, 0, 0)
+}
+
+// RequestRetry sends a request with bounded retry: when an attempt times
+// out it re-sends pkt with a fresh tag after an exponentially growing
+// backoff, up to attempts total tries (attempts <= 0 means one; without
+// a Timeout no attempt times out). Once exhausted, the future fails with
+// ErrDeviceDown wrapping the final timeout. The doubling is
+// deterministic, with no jitter, so seeded runs reproduce exactly. The
+// re-send reuses the caller's packet: pkt and its Data must stay
+// unchanged until the future resolves.
+func (e *Endpoint) RequestRetry(pkt *flit.Packet, attempts int, backoff sim.Time) *sim.Future[*flit.Packet] {
+	return e.request(pkt, max(attempts, 1), backoff)
+}
+
+// request is the one request path; attempts 0 is a plain Request, whose
+// timeout fails the future with the bare ErrTimeout.
+func (e *Endpoint) request(pkt *flit.Packet, attempts int, backoff sim.Time) *sim.Future[*flit.Packet] {
 	if !pkt.Op.IsRequest() {
 		panic("txn: Request with non-request op " + pkt.Op.String())
 	}
 	f := sim.NewFuture[*flit.Packet]()
-	if e.tags.TryAcquire() {
-		e.send(pkt, f)
-	} else {
-		e.tags.Acquire(func() { e.send(pkt, f) })
+	var t *reqTimer
+	if e.Timeout > 0 {
+		t = e.timerFree
+		if t == nil {
+			t = &reqTimer{e: e}
+		} else {
+			e.timerFree = t.next
+			t.next = nil
+		}
+		t.f, t.pkt, t.backoff, t.n, t.attempts = f, pkt, backoff, 0, int32(min(attempts, math.MaxInt32))
 	}
+	e.acquire(pkt, f, t)
 	return f
+}
+
+// acquire sends pkt once a window slot is free.
+func (e *Endpoint) acquire(pkt *flit.Packet, f *sim.Future[*flit.Packet], t *reqTimer) {
+	if e.tags.TryAcquire() {
+		e.send(pkt, f, t)
+	} else {
+		e.tags.Acquire(func() { e.send(pkt, f, t) })
+	}
 }
 
 // send runs with a window slot held: allocates the tag, emits the
 // packet, and arms the timeout.
-func (e *Endpoint) send(pkt *flit.Packet, f *sim.Future[*flit.Packet]) {
+func (e *Endpoint) send(pkt *flit.Packet, f *sim.Future[*flit.Packet], t *reqTimer) {
 	tag := e.allocTag()
 	pkt.Src = e.id
 	pkt.Tag = tag
@@ -340,51 +397,10 @@ func (e *Endpoint) send(pkt *flit.Packet, f *sim.Future[*flit.Packet]) {
 	e.npend++
 	e.ReqsSent.Inc()
 	e.out.Send(pkt)
-	if e.Timeout > 0 {
-		t := e.timerFree
-		if t == nil {
-			t = &reqTimer{e: e}
-		} else {
-			e.timerFree = t.next
-			t.next = nil
-		}
-		t.f, t.tag, t.op, t.dst = f, tag, pkt.Op, pkt.Dst
+	if t != nil {
+		t.n++
 		e.eng.After2(e.Timeout, reqTimerFire, t)
 	}
-}
-
-// RequestRetry sends a request with bounded retry: on ErrTimeout it
-// re-sends (a fresh clone — Request fills Src/Tag in place) after an
-// exponentially growing backoff, up to attempts total tries. Once
-// exhausted, the future fails with ErrDeviceDown wrapping the final
-// timeout. Non-timeout failures (e.g. an OpMemErr mapped by a caller,
-// or a future failed by shutdown) pass through unchanged on the first
-// occurrence — retrying can only help when the path, not the request,
-// was the problem. The backoff doubling is deterministic: no jitter, so
-// seeded runs reproduce exactly.
-func (e *Endpoint) RequestRetry(pkt *flit.Packet, attempts int, backoff sim.Time) *sim.Future[*flit.Packet] {
-	if attempts <= 0 {
-		attempts = 1
-	}
-	f := sim.NewFuture[*flit.Packet]()
-	var try func(n int, wait sim.Time)
-	try = func(n int, wait sim.Time) {
-		e.Request(pkt.Clone()).OnComplete(func(resp *flit.Packet, err error) {
-			switch {
-			case err == nil:
-				f.Complete(resp)
-			case !errors.Is(err, ErrTimeout):
-				f.Fail(err)
-			case n >= attempts:
-				f.Fail(fmt.Errorf("%w: %d attempts: %w", ErrDeviceDown, n, err))
-			default:
-				e.Retries.Inc()
-				e.eng.After(wait, func() { try(n+1, wait*2) })
-			}
-		})
-	}
-	try(1, backoff)
-	return f
 }
 
 func (e *Endpoint) allocTag() uint16 {
