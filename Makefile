@@ -106,14 +106,16 @@ bench-smoke:
 # -fuzz call per target, since -fuzz takes one target at a time: the
 # flit codec against its bitwise and unpooled references, the ladder
 # engine and a one-shard coordinator (every serial cluster's run path)
-# against the heap executive, the host address map against its sorting
-# reference, and txn's RequestRetry against its closure-chain oracle.
+# against the heap executive, sim.Queue against a resliced-slice FIFO,
+# the host address map against its sorting reference, and txn's
+# RequestRetry against its closure-chain oracle.
 # A finding is written to the package's testdata/fuzz, where plain
 # `go test` replays it from then on.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCRC16$$' -fuzztime 10s ./internal/flit/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/flit/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzAddrMap$$' -fuzztime 10s ./internal/host/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestRetry$$' -fuzztime 10s ./internal/txn/
 

@@ -262,7 +262,7 @@ func New(cfg Config) (*Cluster, error) {
 		fam := mem.NewFAM(att.Eng, att, fc)
 		c.FAMs = append(c.FAMs, fam)
 		if cfg.Coherent {
-			c.Dirs = append(c.Dirs, coherence.NewDirectory(eng, fam))
+			c.Dirs = append(c.Dirs, coherence.NewDirectory(att.Eng, fam))
 		}
 	}
 	for i := 0; i < cfg.FAAs; i++ {
@@ -282,7 +282,7 @@ func New(cfg Config) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			c.Agents = append(c.Agents, etrans.NewAgent(eng, att))
+			c.Agents = append(c.Agents, etrans.NewAgent(att.Eng, att))
 		}
 	}
 	if cfg.Arbiter {
@@ -294,7 +294,7 @@ func New(cfg Config) (*Cluster, error) {
 		if cfg.ArbiterConfig != nil {
 			ac = cfg.ArbiterConfig()
 		}
-		c.Arbiter = arbiter.New(eng, att, ac)
+		c.Arbiter = arbiter.New(att.Eng, att, ac)
 	}
 	if err := b.Discover(); err != nil {
 		return nil, err
@@ -362,7 +362,7 @@ func (c *Cluster) requireUnsharded(what string) {
 // with every migration agent (and the arbiter when present).
 func (c *Cluster) NewETrans(h *host.Host) *etrans.Engine {
 	c.requireUnsharded("NewETrans")
-	e := etrans.NewEngine(c.Eng, h.Endpoint())
+	e := etrans.NewEngine(h.Engine(), h.Endpoint())
 	for i, a := range c.Agents {
 		e.AddAgent(a.ID(), c.FAMs[i].ID())
 		if c.Arbiter != nil {
@@ -379,8 +379,8 @@ func (c *Cluster) NewETrans(h *host.Host) *etrans.Engine {
 // local engine and one engine per FAA.
 func (c *Cluster) NewTaskRunner(h *host.Host, seed uint64) *task.Runner {
 	c.requireUnsharded("NewTaskRunner")
-	r := task.NewRunner(c.Eng, h.Endpoint())
-	r.AddEngine(task.NewLocalEngine(c.Eng, h.Name()+"-cpu", seed))
+	r := task.NewRunner(h.Engine(), h.Endpoint())
+	r.AddEngine(task.NewLocalEngine(h.Engine(), h.Name()+"-cpu", seed))
 	for _, d := range c.FAAs {
 		r.AddEngine(faa.NewEngine(d))
 	}
@@ -390,7 +390,7 @@ func (c *Cluster) NewTaskRunner(h *host.Host, seed uint64) *task.Runner {
 // NewCoherenceClient registers host h as a CC-NUMA participant of the
 // directory fronting FAM i (the cluster must be built Coherent).
 func (c *Cluster) NewCoherenceClient(h *host.Host, fam int, ccfg coherence.ClientConfig) *coherence.Client {
-	return coherence.NewClient(c.Eng, h, c.Dirs[fam].ID(), ccfg)
+	return coherence.NewClient(h.Engine(), h, c.Dirs[fam].ID(), ccfg)
 }
 
 // ArbiterClient returns an arbiter client for host h.

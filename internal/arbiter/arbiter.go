@@ -66,7 +66,7 @@ type Arbiter struct {
 	ep  *txn.Endpoint
 
 	outstanding map[flit.PortID]uint64
-	waiting     map[flit.PortID][]pendingGrant
+	waiting     map[flit.PortID]*sim.Queue[pendingGrant] // made on first use, kept
 	// dynWindow holds AIMD-adjusted per-destination windows.
 	dynWindow map[flit.PortID]uint64
 	// congested marks destinations whose queue backed up this epoch.
@@ -90,7 +90,7 @@ func New(eng *sim.Engine, att *fabric.Attachment, cfg Config) *Arbiter {
 		eng:         eng,
 		cfg:         cfg,
 		outstanding: make(map[flit.PortID]uint64),
-		waiting:     make(map[flit.PortID][]pendingGrant),
+		waiting:     make(map[flit.PortID]*sim.Queue[pendingGrant]),
 		dynWindow:   make(map[flit.PortID]uint64),
 		congested:   make(map[flit.PortID]bool),
 	}
@@ -138,7 +138,7 @@ func (a *Arbiter) aimdEpoch() {
 		w := a.window(dst)
 		// A standing grant queue is congestion even with no new
 		// arrivals this epoch.
-		if congested || len(a.waiting[dst]) > 0 {
+		if congested || a.WaitingAt(dst) > 0 {
 			w /= 2
 			if w < a.cfg.MinWindow {
 				w = a.cfg.MinWindow
@@ -162,7 +162,12 @@ func (a *Arbiter) ID() flit.PortID { return a.ep.ID() }
 func (a *Arbiter) Outstanding(dst flit.PortID) uint64 { return a.outstanding[dst] }
 
 // WaitingAt reports queued reservations for dst.
-func (a *Arbiter) WaitingAt(dst flit.PortID) int { return len(a.waiting[dst]) }
+func (a *Arbiter) WaitingAt(dst flit.PortID) int {
+	if q := a.waiting[dst]; q != nil {
+		return q.Len()
+	}
+	return 0
+}
 
 func (a *Arbiter) window(dst flit.PortID) uint64 {
 	if a.cfg.AIMD {
@@ -205,7 +210,12 @@ func (a *Arbiter) handle(req *flit.Packet, reply func(*flit.Packet)) {
 			if a.cfg.AIMD {
 				a.congested[dst] = true
 			}
-			a.waiting[dst] = append(a.waiting[dst], pendingGrant{bytes: bytes, reply: reply, req: req})
+			q := a.waiting[dst]
+			if q == nil {
+				q = new(sim.Queue[pendingGrant])
+				a.waiting[dst] = q
+			}
+			q.Push(pendingGrant{bytes: bytes, reply: reply, req: req})
 		})
 	case flit.OpCtrlCreditReclaim:
 		a.Reclaims.Inc()
@@ -242,15 +252,12 @@ func (a *Arbiter) grant(dst flit.PortID, bytes uint64, req *flit.Packet, reply f
 // drain grants queued reservations FIFO while the window allows.
 func (a *Arbiter) drain(dst flit.PortID) {
 	q := a.waiting[dst]
-	for len(q) > 0 && a.outstanding[dst]+q[0].bytes <= a.window(dst) {
-		g := q[0]
-		q = q[1:]
-		a.grant(dst, g.bytes, g.req, g.reply)
+	if q == nil {
+		return
 	}
-	if len(q) == 0 {
-		delete(a.waiting, dst)
-	} else {
-		a.waiting[dst] = q
+	for q.Len() > 0 && a.outstanding[dst]+q.Front().bytes <= a.window(dst) {
+		g := q.Pop()
+		a.grant(dst, g.bytes, g.req, g.reply)
 	}
 }
 

@@ -124,8 +124,10 @@ type Client struct {
 	// late writeback can never lose the newest data.
 	wbPending map[uint64][64]byte
 	tick      uint64
-	// pending serializes client ops per line and against snoops.
-	pending map[uint64][]func()
+	// pending serializes client ops per line and against snoops. A
+	// line's queue is made at its first contention and kept, as busy
+	// keeps its keys.
+	pending map[uint64]*sim.Queue[func()]
 	busy    map[uint64]bool
 
 	opFree   *lineOp
@@ -157,7 +159,7 @@ func NewClient(eng *sim.Engine, h *host.Host, home flit.PortID, cfg ClientConfig
 		eng: eng, h: h, home: home, cfg: cfg,
 		lines:     make(map[uint64]*clientLine),
 		wbPending: make(map[uint64][64]byte),
-		pending:   make(map[uint64][]func()),
+		pending:   make(map[uint64]*sim.Queue[func()]),
 		busy:      make(map[uint64]bool),
 	}
 	// A host may cache lines from several homes (one Client per FAM
@@ -240,7 +242,12 @@ func (c *Client) putLine(l *clientLine) {
 // acquireOp serializes per-line work; release runs the next queued op.
 func (c *Client) acquireOp(op *lineOp) {
 	if c.busy[op.addr] {
-		c.pending[op.addr] = append(c.pending[op.addr], op.run)
+		q := c.pending[op.addr]
+		if q == nil {
+			q = new(sim.Queue[func()])
+			c.pending[op.addr] = q
+		}
+		q.Push(op.run)
 		return
 	}
 	op.run()
@@ -288,12 +295,8 @@ func (c *Client) release(op *lineOp) {
 	addr := op.addr
 	c.putOp(op)
 	c.busy[addr] = false
-	if q := c.pending[addr]; len(q) > 0 {
-		next := q[0]
-		c.pending[addr] = q[1:]
-		next()
-	} else {
-		delete(c.pending, addr)
+	if q := c.pending[addr]; q != nil && q.Len() > 0 {
+		q.Pop()()
 	}
 }
 

@@ -96,12 +96,11 @@ func (s *portSet) appendPorts(dst []flit.PortID) []flit.PortID {
 }
 
 type dirEntry struct {
-	state    dirState
-	owner    flit.PortID
-	sharers  portSet
-	busy     bool
-	queue    []func()
-	nextFree *dirEntry
+	state   dirState
+	owner   flit.PortID
+	sharers portSet
+	busy    bool
+	queue   sim.Queue[func()]
 }
 
 // dirSlot is one open-addressed table slot; e == nil marks it empty.
@@ -120,14 +119,12 @@ type Directory struct {
 	// The line table is open-addressed (power-of-two slots, linear
 	// probing, grown at 3/4 load) instead of a Go map: the per-miss
 	// lookup is one multiplicative hash and a short probe, with no map
-	// header or bucket overhead. Entries are slab-allocated and
-	// recycled through freeEnt; a line's entry persists once touched
-	// (exactly the original map's behaviour), so probing needs no
-	// tombstones.
+	// header or bucket overhead. Entries are slab-allocated and never
+	// freed: a line's entry persists once touched (exactly the original
+	// map's behaviour), so probing needs no tombstones.
 	slots   []dirSlot
 	nlines  int
 	entSlab []dirEntry
-	freeEnt *dirEntry
 
 	// targetScratch is reused for snoop fan-out lists; invalidateAll
 	// consumes the list synchronously, so one buffer suffices.
@@ -162,11 +159,6 @@ func dirHash(addr uint64) uint64 {
 }
 
 func (d *Directory) allocEntry() *dirEntry {
-	if e := d.freeEnt; e != nil {
-		d.freeEnt = e.nextFree
-		e.nextFree = nil
-		return e
-	}
 	if len(d.entSlab) == 0 {
 		d.entSlab = make([]dirEntry, 64)
 	}
@@ -280,10 +272,8 @@ func (op *dirOp) replyUnlock(resp *flit.Packet) {
 	op.reply(resp)
 	e := op.e
 	e.busy = false
-	if len(e.queue) > 0 {
-		next := e.queue[0]
-		e.queue = e.queue[1:]
-		next()
+	if e.queue.Len() > 0 {
+		e.queue.Pop()()
 	}
 	d := op.d
 	op.e, op.req, op.reply, op.data = nil, nil, nil, nil
@@ -332,7 +322,7 @@ func (d *Directory) handle(req *flit.Packet, reply func(*flit.Packet)) {
 		op := d.getOp()
 		op.e, op.addr, op.req, op.reply = e, addr, req, reply
 		if e.busy {
-			e.queue = append(e.queue, op.run)
+			e.queue.Push(op.run)
 			return
 		}
 		op.run()

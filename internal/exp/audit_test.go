@@ -5,7 +5,9 @@ import (
 
 	"fcc"
 	"fcc/internal/fabric"
+	"fcc/internal/flit"
 	"fcc/internal/link"
+	"fcc/internal/sim"
 	"fcc/internal/txn"
 )
 
@@ -50,21 +52,21 @@ func TestFlitPoolsDrainToZero(t *testing.T) {
 	}
 }
 
-// TestEndpointBooksAtQuiescence checks the transaction layer's books
-// once Run has drained a cluster: no host or FAM endpoint may have a
-// request pending, and every tombstone must stand for a timeout whose
-// response never came (no shape sets DrainHorizon, so a tomb clears only
-// when its late response lands). Three shapes: E11's FabStore ring
+// drainedShape is a cluster shape that run builds, drives and runs
+// until its engines drain.
+type drainedShape struct {
+	name              string
+	run               func() *fcc.Cluster
+	retries, leftover bool // the shape must retry / leave tombstones
+}
+
+// drainedShapes are the quiescence audits' shapes: E11's FabStore ring
 // under its fault plan, where requests time out and retry; E9's full
 // plan, whose fenced FAM leaves timeouts unanswered; and the 2-shard
 // fat-tree.
-func TestEndpointBooksAtQuiescence(t *testing.T) {
+func drainedShapes(t *testing.T) []drainedShape {
 	fatTree := fabric.TopoSpec{Kind: fabric.TopoFatTree, Tiers: 3, Radix: 8, Pods: 6}
-	for _, tc := range []struct {
-		name              string
-		run               func() *fcc.Cluster
-		retries, leftover bool // the shape must retry / leave tombstones
-	}{
+	return []drainedShape{
 		{"fabstore-ring-faults", func() *fcc.Cluster {
 			c, st := fabStoreCluster(1, true)
 			if err := c.SchedulePlan(fabStorePlan()); err != nil {
@@ -87,7 +89,16 @@ func TestEndpointBooksAtQuiescence(t *testing.T) {
 			c.Run()
 			return c
 		}, false, false},
-	} {
+	}
+}
+
+// TestEndpointBooksAtQuiescence checks the transaction layer's books
+// once Run has drained a cluster: no host or FAM endpoint may have a
+// request pending, and every tombstone must stand for a timeout whose
+// response never came (no shape sets DrainHorizon, so a tomb clears only
+// when its late response lands). It runs the three drainedShapes.
+func TestEndpointBooksAtQuiescence(t *testing.T) {
+	for _, tc := range drainedShapes(t) {
 		c := tc.run()
 		var eps []*txn.Endpoint
 		for _, h := range c.Hosts {
@@ -114,6 +125,88 @@ func TestEndpointBooksAtQuiescence(t *testing.T) {
 		if sent == 0 || tc.retries && retries == 0 || tc.leftover && tombs == 0 {
 			t.Errorf("%s: %d requests, %d retries, %d tombstones: the shape no longer exercises what it is here for",
 				tc.name, sent, retries, tombs)
+		}
+	}
+}
+
+// TestQueuesDrainAtQuiescence checks the link layer's, the switches' and
+// the semaphores' books once Run has drained a cluster. On both ports of
+// every inter-switch and endpoint link, every VC must have nothing
+// queued to send, nothing in its receive buffer, replay buffer or
+// reorder stash, and all its credits back: the peer's receive limit. No
+// switch port may hold a train, and every tags, MSHR, victim-buffer and
+// core gauge in the stats snapshot must read 0. It runs the three
+// drainedShapes (E9's injected credit leak heals before its run ends)
+// and the ring whose links retry at BER 0.02, which must retransmit so
+// that the retry queues run.
+func TestQueuesDrainAtQuiescence(t *testing.T) {
+	shapes := append(drainedShapes(t), drainedShape{name: "ring-4-retry", run: func() *fcc.Cluster {
+		c := traceReplayCluster()
+		scaleWorkload(c, 1, 40, 4)
+		c.Run()
+		return c
+	}})
+	for _, tc := range shapes {
+		c := tc.run()
+		links := c.Builder.ISLLinks()
+		for _, att := range c.Builder.Attachments() {
+			links = append(links, att.Link)
+		}
+		var retransmits int64
+		for _, l := range links {
+			for _, side := range [2][2]*link.Port{{l.A(), l.B()}, {l.B(), l.A()}} {
+				p, peer := side[0], side[1]
+				retransmits += p.Retransmits.Value()
+				for vc := flit.Channel(0); vc < flit.NumChannels; vc++ {
+					for _, q := range []struct {
+						what string
+						n    int
+					}{
+						{"queued flits", p.TxQueueFlits(vc)},
+						{"queued packets", p.TxQueuePackets(vc)},
+						{"receive-buffer slots in use", p.RxBufUsed(vc)},
+						{"replay-buffer flits", p.ReplayBufferLen(vc)},
+						{"stashed flits", p.RxStashLen(vc)},
+					} {
+						if q.n != 0 {
+							t.Errorf("%s: port %s VC %d has %d %s after the drain", tc.name, p.Name(), vc, q.n, q.what)
+						}
+					}
+					if got, want := p.Credits(vc), peer.RxLimit(vc); got != want {
+						t.Errorf("%s: port %s VC %d has %d credits after the drain, want its peer's receive limit %d",
+							tc.name, p.Name(), vc, got, want)
+					}
+				}
+			}
+		}
+		for _, sw := range c.Builder.Switches() {
+			for i := 0; i < sw.Ports(); i++ {
+				if n := sw.QueuedAt(i); n != 0 {
+					t.Errorf("%s: switch %s port %d holds %d trains after the drain", tc.name, sw.Name(), i, n)
+				}
+			}
+		}
+		gauges := 0
+		var walk func(s *sim.StatsSnapshot, path string)
+		walk = func(s *sim.StatsSnapshot, path string) {
+			path += "/" + s.Name
+			for _, g := range []string{"tags_in_use", "mshrs_in_use", "victim_buf_in_use", "cores_in_use"} {
+				if v, ok := s.Gauges[g]; ok {
+					gauges++
+					if v != 0 {
+						t.Errorf("%s: %s %s = %d after the drain", tc.name, path, g, v)
+					}
+				}
+			}
+			for _, ch := range s.Children {
+				walk(ch, path)
+			}
+		}
+		walk(c.Stats().Snapshot(), "")
+		t.Logf("%s: %d links, %d in-use gauges, %d retransmits", tc.name, len(links), gauges, retransmits)
+		if gauges == 0 || tc.name == "ring-4-retry" && retransmits == 0 {
+			t.Errorf("%s: %d in-use gauges, %d retransmits: the shape no longer exercises what it is here for",
+				tc.name, gauges, retransmits)
 		}
 	}
 }

@@ -114,12 +114,9 @@ type swPort struct {
 	idx  int
 	port *link.Port
 	// waiting holds trains routed to this port but blocked on output
-	// queue space, consumed from waitHead and compacted as the link
-	// port's transmit queue is, so it keeps its backing array. Each
-	// train stays in its input receive buffer until forwarded, so
-	// backpressure propagates to the upstream sender.
-	waiting  []heldTrain
-	waitHead int
+	// queue space. Each train stays in its input receive buffer until
+	// forwarded, so backpressure propagates to the upstream sender.
+	waiting sim.Queue[heldTrain]
 }
 
 // heldTrain is a received flit train with its header view and the
@@ -131,7 +128,7 @@ type heldTrain struct {
 }
 
 // held reports the trains waiting for output space.
-func (sp *swPort) held() int { return len(sp.waiting) - sp.waitHead }
+func (sp *swPort) held() int { return sp.waiting.Len() }
 
 // initSwitch fills a (possibly arena-backed) Switch in place, so the
 // Builder can allocate switches in one slab instead of one heap object
@@ -353,7 +350,7 @@ func xbarArbitrate(a any) {
 			continue
 		}
 		s.HolStalls.Inc()
-		op.waiting = append(op.waiting, t)
+		op.waiting.Push(t)
 	}
 	s.pending = s.pending[:0]
 }
@@ -402,12 +399,10 @@ func (s *Switch) Fail() {
 	s.down = true
 	s.downAt = s.eng.Now()
 	for _, sp := range s.ports {
-		for _, t := range sp.waiting[sp.waitHead:] {
+		for sp.waiting.Len() > 0 {
 			s.PktsDropped.Inc()
-			t.release()
+			sp.waiting.Pop().release()
 		}
-		clear(sp.waiting)
-		sp.waiting, sp.waitHead = sp.waiting[:0], 0
 	}
 	for _, h := range s.pending {
 		s.PktsDropped.Inc()
@@ -475,21 +470,8 @@ func (sp *swPort) tryDrain() {
 // drainWaiting moves held trains into the output queue as space frees.
 func (sp *swPort) drainWaiting() {
 	s := sp.sw
-	for sp.held() > 0 {
-		t := sp.waiting[sp.waitHead]
-		if !s.spaceFor(sp, t) {
-			return
-		}
-		sp.waiting[sp.waitHead] = heldTrain{}
-		sp.waitHead++
-		if sp.waitHead == len(sp.waiting) {
-			sp.waiting, sp.waitHead = sp.waiting[:0], 0
-		} else if sp.waitHead >= 32 && sp.waitHead*2 >= len(sp.waiting) {
-			n := copy(sp.waiting, sp.waiting[sp.waitHead:])
-			clear(sp.waiting[n:])
-			sp.waiting, sp.waitHead = sp.waiting[:n], 0
-		}
-		s.forward(sp, t, s.eng.Now())
+	for sp.held() > 0 && s.spaceFor(sp, sp.waiting.Front()) {
+		s.forward(sp, sp.waiting.Pop(), s.eng.Now())
 	}
 }
 

@@ -66,7 +66,7 @@ func newClient(s *Store, h *host.Host, idx int) *Client {
 	}
 	for si := range c.wal {
 		for slot := 0; slot < s.cfg.IntentSlots; slot++ {
-			c.wal[si].free = append(c.wal[si].free, slot)
+			c.wal[si].free.Push(slot)
 		}
 	}
 	return c
@@ -360,7 +360,7 @@ func (c *Client) withReservedP(p *sim.Proc, dst flit.PortID, bytes uint64, fn fu
 type byteGate struct {
 	limit   uint64
 	inUse   uint64
-	waiters []gateWait
+	waiters sim.Queue[gateWait]
 }
 
 type gateWait struct {
@@ -376,13 +376,13 @@ func (c *Client) quotaAcquireP(p *sim.Proc, tenant int, need uint64) {
 	if need > g.limit {
 		need = g.limit // oversized ops take the whole window
 	}
-	if len(g.waiters) == 0 && g.inUse+need <= g.limit {
+	if g.waiters.Len() == 0 && g.inUse+need <= g.limit {
 		g.inUse += need
 		return
 	}
 	c.QuotaStalls.Inc()
 	p.Suspend(func(wake func()) {
-		g.waiters = append(g.waiters, gateWait{need: need, wake: wake})
+		g.waiters.Push(gateWait{need: need, wake: wake})
 	})
 	// Woken either with the bytes charged (release path) or by a crash
 	// drain; the caller re-checks c.crashed immediately.
@@ -399,68 +399,51 @@ func (g *byteGate) release(n uint64) {
 		n = g.inUse
 	}
 	g.inUse -= n
-	for len(g.waiters) > 0 && g.inUse+g.waiters[0].need <= g.limit {
-		w := g.waiters[0]
-		g.waiters = popFront(g.waiters)
+	for g.waiters.Len() > 0 && g.inUse+g.waiters.Front().need <= g.limit {
+		w := g.waiters.Pop()
 		g.inUse += w.need
 		w.wake()
 	}
 }
 
+// drain wakes the waiters queued when it starts, in order.
 func (g *byteGate) drain() {
-	ws := g.waiters
-	g.waiters = nil
-	for _, w := range ws {
-		w.wake()
+	for n := g.waiters.Len(); n > 0; n-- {
+		g.waiters.Pop().wake()
 	}
 }
 
-// slotPool hands out WAL slot indexes FIFO.
+// slotPool hands out WAL slot indexes FIFO: a slot decides where its
+// put's intent record goes.
 type slotPool struct {
-	free    []int
-	waiters []func()
+	free    sim.Queue[int]
+	waiters sim.Queue[func()]
 }
 
 func (c *Client) walAcquireP(p *sim.Proc, si int) int {
 	sp := &c.wal[si]
-	if len(sp.free) == 0 {
+	if sp.free.Len() == 0 {
 		c.WALStalls.Inc()
 	}
-	for len(sp.free) == 0 {
-		p.Suspend(func(wake func()) { sp.waiters = append(sp.waiters, wake) })
+	for sp.free.Len() == 0 {
+		p.Suspend(func(wake func()) { sp.waiters.Push(wake) })
 		if c.crashed {
 			return -1
 		}
 	}
-	s := sp.free[0]
-	sp.free = popFront(sp.free)
-	return s
+	return sp.free.Pop()
 }
 
 func (sp *slotPool) release(slot int) {
-	sp.free = append(sp.free, slot)
-	if len(sp.waiters) > 0 {
-		w := sp.waiters[0]
-		sp.waiters = popFront(sp.waiters)
-		w()
+	sp.free.Push(slot)
+	if sp.waiters.Len() > 0 {
+		sp.waiters.Pop()()
 	}
 }
 
+// drain wakes the waiters queued when it starts, in order.
 func (sp *slotPool) drain() {
-	ws := sp.waiters
-	sp.waiters = nil
-	for _, w := range ws {
-		w()
+	for n := sp.waiters.Len(); n > 0; n-- {
+		sp.waiters.Pop()()
 	}
-}
-
-// popFront drops q's first entry in place, so a queue keeps its array
-// for good where q[1:] would walk forward through it and regrow it. The
-// shift copies the queue, which holds at most the client's parked
-// operations (64 under the workload driver). The order stays FIFO: a
-// WAL slot decides where its put's intent record goes.
-func popFront[T any](q []T) []T {
-	n := copy(q, q[1:])
-	clear(q[n:])
-	return q[:n]
 }

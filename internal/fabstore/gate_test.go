@@ -17,7 +17,7 @@ func TestGateCyclesReuseStorage(t *testing.T) {
 	c := &Client{wal: make([]slotPool, 1)}
 	sp := &c.wal[0]
 	for slot := 0; slot < slots; slot++ {
-		sp.free = append(sp.free, slot)
+		sp.free.Push(slot)
 	}
 	g := byteGate{limit: 4}
 	woken, taken, misordered := 0, 0, 0
@@ -30,12 +30,12 @@ func TestGateCyclesReuseStorage(t *testing.T) {
 				if c.walAcquireP(p, 0) != taken%slots {
 					misordered++
 				}
-				sp.waiters = append(sp.waiters, wake)
+				sp.waiters.Push(wake)
 				sp.release(taken % slots)
 				taken++
 
 				g.inUse = g.limit
-				g.waiters = append(g.waiters, gateWait{need: 1, wake: wake})
+				g.waiters.Push(gateWait{need: 1, wake: wake})
 				g.release(1)
 			}
 		}
@@ -52,8 +52,8 @@ func TestGateCyclesReuseStorage(t *testing.T) {
 	if want := 2 * taken; woken != want {
 		t.Fatalf("woke %d waiters, want %d", woken, want)
 	}
-	if len(sp.free) != slots || len(sp.waiters) != 0 || len(g.waiters) != 0 {
+	if sp.free.Len() != slots || sp.waiters.Len() != 0 || g.waiters.Len() != 0 {
 		t.Fatalf("queues hold %d slots, %d and %d waiters after the cycles; want %d, 0 and 0",
-			len(sp.free), len(sp.waiters), len(g.waiters), slots)
+			sp.free.Len(), sp.waiters.Len(), g.waiters.Len(), slots)
 	}
 }

@@ -235,22 +235,18 @@ type Port struct {
 	// of being scheduled directly on the peer's engine (see xlink.go).
 	xmb *sim.Mailbox
 
-	// Transmit state. txq and retryq are consumed from a head index
-	// rather than resliced so the backing array is reused; they compact
-	// when the dead prefix dominates. txqFlits counts the flits of txq
-	// not yet on the wire.
-	txq       [flit.NumChannels][]*txPacket
-	txqHead   [flit.NumChannels]int
-	txqFlits  [flit.NumChannels]int
-	retryq    [flit.NumChannels][]*flit.Flit
-	retryHead [flit.NumChannels]int
-	credits   [flit.NumChannels]int
-	shared    int
-	sending   bool
-	lockedVC  int
-	sched     Scheduler
-	vcSeq     [flit.NumChannels]uint32
-	replay    [flit.NumChannels]map[uint32]*flit.Flit
+	// Transmit state. txqFlits counts the flits of txq not yet on the
+	// wire.
+	txq      [flit.NumChannels]sim.Queue[*txPacket]
+	txqFlits [flit.NumChannels]int
+	retryq   [flit.NumChannels]sim.Queue[*flit.Flit]
+	credits  [flit.NumChannels]int
+	shared   int
+	sending  bool
+	lockedVC int
+	sched    Scheduler
+	vcSeq    [flit.NumChannels]uint32
+	replay   [flit.NumChannels]map[uint32]*flit.Flit
 
 	viewBuf [flit.NumChannels]VCView // pickVC's scratch
 
@@ -441,7 +437,7 @@ func (p *Port) enqueue(tp *txPacket, hdr flit.Header, fl []*flit.Flit) {
 	tp.hdr, tp.flits, tp.next, tp.enq = hdr, fl, 0, p.eng.Now()
 	p.vcSeq[vc] += uint32(len(fl))
 	p.txqFlits[vc] += len(fl)
-	p.txq[vc] = append(p.txq[vc], tp)
+	p.txq[vc].Push(tp)
 	p.tracePkt(telemetry.EvPktSend, vc, fl[0].Seq, hdr)
 	p.kick()
 }
@@ -469,15 +465,12 @@ func (p *Port) putTxPacket(tp *txPacket) {
 
 // TxQueueFlits reports the flits queued (not yet on the wire) for a VC.
 func (p *Port) TxQueueFlits(vc flit.Channel) int {
-	return p.retryLen(vc) + p.txqFlits[vc]
+	return p.retryq[vc].Len() + p.txqFlits[vc]
 }
-
-// retryLen reports the NAK'd flits waiting for retransmission on a VC.
-func (p *Port) retryLen(vc flit.Channel) int { return len(p.retryq[vc]) - p.retryHead[vc] }
 
 // TxQueuePackets reports the packets queued on a VC.
 func (p *Port) TxQueuePackets(vc flit.Channel) int {
-	return len(p.txq[vc]) - p.txqHead[vc]
+	return p.txq[vc].Len()
 }
 
 // Credits reports the transmit credits currently available on a VC (or
@@ -556,7 +549,7 @@ func (p *Port) pickVC() int {
 		v.Credits = p.Credits(vc)
 		v.HeadAge = 0
 		if v.QueuedPackets > 0 {
-			v.HeadAge = int64(now - p.txq[vc][p.txqHead[vc]].enq)
+			v.HeadAge = int64(now - p.txq[vc].Front().enq)
 		}
 	}
 	idx := p.sched.Pick(views)
@@ -590,7 +583,7 @@ func confirmStall(a any) {
 }
 
 func (p *Port) eligible(vc flit.Channel) bool {
-	if p.retryLen(vc) > 0 {
+	if p.retryq[vc].Len() > 0 {
 		return true // retransmissions own their credit already
 	}
 	return p.TxQueuePackets(vc) > 0 && p.creditAvailable(vc)
@@ -608,23 +601,19 @@ func (p *Port) kick() {
 	p.stalled = false // relieved before (or at) the confirm check: no stall
 	vc := flit.Channel(idx)
 	var f *flit.Flit
-	if h := p.retryHead[vc]; h < len(p.retryq[vc]) {
-		f = p.retryq[vc][h]
-		p.retryq[vc][h] = nil
-		p.retryHead[vc] = compact(&p.retryq[vc], h+1)
+	if p.retryq[vc].Len() > 0 {
+		f = p.retryq[vc].Pop()
 		p.Retransmits.Inc()
 		p.trace(telemetry.EvRetransmit, vc, f.Seq)
 	} else {
-		h := p.txqHead[vc]
-		tp := p.txq[vc][h]
+		tp := p.txq[vc].Front()
 		f = tp.flits[tp.next]
 		p.consumeCredit(vc)
 		p.tracePkt(telemetry.EvFlitTx, vc, f.Seq, tp.hdr)
 		tp.next++
 		p.txqFlits[vc]--
 		if tp.next == len(tp.flits) {
-			p.txq[vc][h] = nil
-			p.txqHead[vc] = compact(&p.txq[vc], h+1)
+			p.txq[vc].Pop()
 			p.PktsTx.Inc()
 			p.QueueLat.ObserveTime(p.eng.Now() - tp.enq)
 			p.putTxPacket(tp)
@@ -652,24 +641,6 @@ func (p *Port) kick() {
 	m := p.getMsg()
 	m.vc, m.f = vc, f
 	p.eng.After2(ser, serDone, m)
-}
-
-// compact takes a FIFO consumed up to head, its consumed slots already
-// cleared, and rewinds it when drained or moves its live tail to the
-// front once the dead prefix dominates, so the backing array is reused
-// instead of regrown; it returns the new head.
-func compact[T any](q *[]T, head int) int {
-	switch {
-	case head == len(*q):
-		*q = (*q)[:0]
-	case head >= 32 && head*2 >= len(*q):
-		n := copy(*q, (*q)[head:])
-		clear((*q)[n:])
-		*q = (*q)[:n]
-	default:
-		return head
-	}
-	return 0
 }
 
 // receiveFlit handles one arriving flit: error injection, selective
@@ -833,7 +804,7 @@ func (p *Port) handleNak(vc flit.Channel, seq uint32) {
 		return // already retransmitted and acked
 	}
 	f.Retain() // the retry queue holds its own reference until resend
-	p.retryq[vc] = append(p.retryq[vc], f)
+	p.retryq[vc].Push(f)
 	p.kick()
 }
 

@@ -64,8 +64,8 @@ type Engine struct {
 	// nil'd so pooled events never pin model objects) and recycled.
 	free *event
 
-	// procs counts live processes so RunUntilIdle can detect deadlock
-	// (live processes but an empty event queue).
+	// procs counts live processes; the process tests read it to check
+	// that every process finished.
 	procs int
 
 	// freeRunner pools process runners for reuse across processes
@@ -198,11 +198,8 @@ func (e *Engine) release(ev *event) {
 // closure captures. Hot paths that fire millions of events should use
 // At2/After2, which schedule with zero steady-state allocations.
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if t > MaxTime {
-		panic(fmt.Sprintf("sim: scheduling event at %d ps, beyond MaxTime (%d ps); use SaturatingAdd for relative timers", int64(t), int64(MaxTime)))
+	if t < e.now || t > MaxTime {
+		panic(e.badTime(t))
 	}
 	e.seq++
 	ev := e.alloc()
@@ -223,11 +220,8 @@ func (e *Engine) After(d Time, fn func()) { e.At(SaturatingAdd(e.now, d), fn) }
 // It shares the (at, seq) ordering stream with At, so mixing the two
 // APIs preserves deterministic tie-break order.
 func (e *Engine) At2(t Time, fn func(any), arg any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if t > MaxTime {
-		panic(fmt.Sprintf("sim: scheduling event at %d ps, beyond MaxTime (%d ps); use SaturatingAdd for relative timers", int64(t), int64(MaxTime)))
+	if t < e.now || t > MaxTime {
+		panic(e.badTime(t))
 	}
 	if fn == nil {
 		panic("sim: At2 with nil fn")
@@ -264,11 +258,8 @@ type Batch struct {
 func (e *Engine) At2Batch(items []Batch) {
 	for i := range items {
 		it := &items[i]
-		if it.At < e.now {
-			panic(fmt.Sprintf("sim: scheduling event at %v before now %v", it.At, e.now))
-		}
-		if it.At > MaxTime {
-			panic(fmt.Sprintf("sim: scheduling event at %d ps, beyond MaxTime (%d ps); use SaturatingAdd for relative timers", int64(it.At), int64(MaxTime)))
+		if it.At < e.now || it.At > MaxTime {
+			panic(e.badTime(it.At))
 		}
 		if it.Fn == nil {
 			panic("sim: At2Batch with nil Fn")
@@ -284,16 +275,24 @@ func (e *Engine) At2Batch(items []Batch) {
 // (at, seq) ordering stream with At/At2, so process wake-ups keep their
 // exact tie-break position among ordinary events.
 func (e *Engine) atProc(t Time, p *Proc) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if t > MaxTime {
-		panic(fmt.Sprintf("sim: scheduling event at %d ps, beyond MaxTime (%d ps); use SaturatingAdd for relative timers", int64(t), int64(MaxTime)))
+	if t < e.now || t > MaxTime {
+		panic(e.badTime(t))
 	}
 	e.seq++
 	ev := e.alloc()
 	ev.at, ev.seq, ev.arg, ev.kind = t, e.seq, p, kindProc
 	e.enqueue(ev)
+}
+
+// badTime is the panic message for an event time the engine cannot
+// admit: one before now, or one beyond MaxTime. The schedulers keep
+// their two comparisons inline and panic with it, so the formatting
+// stays out of their hot path.
+func (e *Engine) badTime(t Time) string {
+	if t < e.now {
+		return fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now)
+	}
+	return fmt.Sprintf("sim: scheduling event at %d ps, beyond MaxTime (%d ps); use SaturatingAdd for relative timers", int64(t), int64(MaxTime))
 }
 
 // enqueue routes a scheduled event to the right tier.

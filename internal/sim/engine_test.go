@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -38,17 +39,36 @@ func TestEngineTieBreaksBySchedulingOrder(t *testing.T) {
 	}
 }
 
+// TestEngineSchedulingInPastPanics: At, At2 and At2Batch refuse a time
+// before now or beyond MaxTime, each with the same message.
 func TestEngineSchedulingInPastPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(10*Nanosecond, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		e.At(5*Nanosecond, func() {})
-	})
-	e.Run()
+	const past = "sim: scheduling event at 5ns before now 10ns"
+	beyond := fmt.Sprintf("sim: scheduling event at %d ps, beyond MaxTime (%d ps); use SaturatingAdd for relative timers",
+		int64(MaxTime+1), int64(MaxTime))
+	for _, sched := range []struct {
+		name string
+		at   func(e *Engine, t Time)
+	}{
+		{"At", func(e *Engine, t Time) { e.At(t, func() {}) }},
+		{"At2", func(e *Engine, t Time) { e.At2(t, nopEvent, nil) }},
+		{"At2Batch", func(e *Engine, t Time) { e.At2Batch([]Batch{{At: t, Fn: nopEvent}}) }},
+	} {
+		for _, tc := range []struct {
+			at   Time
+			want string
+		}{{5 * Nanosecond, past}, {MaxTime + 1, beyond}} {
+			e := NewEngine()
+			e.At(10*Nanosecond, func() {
+				defer func() {
+					if got := recover(); got != tc.want {
+						t.Errorf("%s(%d ps) panicked with %v, want %q", sched.name, int64(tc.at), got, tc.want)
+					}
+				}()
+				sched.at(e, tc.at)
+			})
+			e.Run()
+		}
+	}
 }
 
 func TestEngineRunUntilStopsAtBoundary(t *testing.T) {

@@ -7,10 +7,7 @@ package sim
 type Semaphore struct {
 	capacity int
 	inUse    int
-	// waiters is consumed from head rather than resliced so the backing
-	// array is reused; it compacts when the dead prefix dominates.
-	waiters []func()
-	head    int
+	waiters  Queue[func()]
 }
 
 // NewSemaphore returns a semaphore with the given capacity.
@@ -31,7 +28,7 @@ func (s *Semaphore) InUse() int { return s.inUse }
 func (s *Semaphore) Available() int { return s.capacity - s.inUse }
 
 // QueueLen reports the number of blocked acquirers.
-func (s *Semaphore) QueueLen() int { return len(s.waiters) - s.head }
+func (s *Semaphore) QueueLen() int { return s.waiters.Len() }
 
 // Acquire grants a slot to granted immediately if one is free, otherwise
 // queues the request FIFO.
@@ -41,7 +38,7 @@ func (s *Semaphore) Acquire(granted func()) {
 		granted()
 		return
 	}
-	s.waiters = append(s.waiters, granted)
+	s.waiters.Push(granted)
 }
 
 // TryAcquire takes a slot if one is free and reports whether it did.
@@ -58,19 +55,8 @@ func (s *Semaphore) Release() {
 	if s.inUse <= 0 {
 		panic("sim: semaphore released below zero")
 	}
-	if h := s.head; h < len(s.waiters) {
-		next := s.waiters[h]
-		s.waiters[h] = nil
-		h++
-		if h == len(s.waiters) {
-			s.waiters, h = s.waiters[:0], 0
-		} else if h >= 32 && h*2 >= len(s.waiters) {
-			n := copy(s.waiters, s.waiters[h:])
-			clear(s.waiters[n:])
-			s.waiters, h = s.waiters[:n], 0
-		}
-		s.head = h
-		next()
+	if s.waiters.Len() > 0 {
+		s.waiters.Pop()()
 		return
 	}
 	s.inUse--

@@ -570,10 +570,10 @@ func TestSemaphoreProcBlocking(t *testing.T) {
 }
 
 // TestSemaphoreReentrantAcquireFIFO: a grant callback that re-enters
-// Acquire queues behind every waiter already present, across the
-// queue's compaction, and QueueLen counts only live waiters.
+// Acquire queues behind every waiter already present, while the queue's
+// ring wraps and grows, and QueueLen counts only live waiters.
 func TestSemaphoreReentrantAcquireFIFO(t *testing.T) {
-	const n = 40 // past the compaction threshold
+	const n = 40 // grows the ring to 64 slots; the re-entrant waiters wrap it
 	s := NewSemaphore(1)
 	s.Acquire(func() {})
 	var grants []int

@@ -106,10 +106,10 @@ func TestTombDrainHorizonExpiry(t *testing.T) {
 	if a.Timeouts.Value() != n {
 		t.Fatalf("timeouts = %d, want %d", a.Timeouts.Value(), n)
 	}
-	// The expired tags are reusable again: the ring must hand them out
-	// without the bump pointer advancing past them.
-	if a.ftCount == 0 {
-		t.Fatal("expired tags did not return to the free ring")
+	// The expired tags are reusable again: the free queue must hand
+	// them out without the bump pointer advancing past them.
+	if a.freeTags.Len() == 0 {
+		t.Fatal("expired tags did not return to the free queue")
 	}
 }
 

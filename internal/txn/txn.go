@@ -68,11 +68,9 @@ type Endpoint struct {
 	tomb  []uint64
 	ntomb int
 
-	// freeTags rings released tags back to the allocator; allocTag pops
-	// from here first and falls back to the monotonic bump pointer.
-	freeTags []uint16
-	ftHead   int
-	ftCount  int
+	// freeTags queues released tags back to the allocator; allocTag
+	// pops from here first and falls back to the monotonic bump pointer.
+	freeTags sim.Queue[uint16]
 
 	// Free lists recycling the per-request timeout records and the
 	// per-inbound-request reply contexts, so the steady-state request
@@ -182,7 +180,7 @@ func (e *Endpoint) setTomb(t uint16) {
 			// cleared the tomb already.
 			if e.tombed(t) {
 				e.clearTomb(t)
-				e.freeTag(t)
+				e.freeTags.Push(t)
 			}
 		})
 	}
@@ -191,20 +189,6 @@ func (e *Endpoint) setTomb(t uint16) {
 func (e *Endpoint) clearTomb(t uint16) {
 	e.tomb[t>>6] &^= 1 << (t & 63)
 	e.ntomb--
-}
-
-// freeTag returns a tag to the allocation ring.
-func (e *Endpoint) freeTag(t uint16) {
-	if e.ftCount == len(e.freeTags) {
-		grown := make([]uint16, max(16, 2*len(e.freeTags)))
-		for i := 0; i < e.ftCount; i++ {
-			grown[i] = e.freeTags[(e.ftHead+i)%len(e.freeTags)]
-		}
-		e.freeTags = grown
-		e.ftHead = 0
-	}
-	e.freeTags[(e.ftHead+e.ftCount)%len(e.freeTags)] = t
-	e.ftCount++
 }
 
 // Arrive implements link.Sink: endpoint buffers drain instantly (the
@@ -268,7 +252,7 @@ func (e *Endpoint) Dispatch(pkt *flit.Packet) {
 	if f == nil {
 		if e.tombed(pkt.Tag) {
 			e.clearTomb(pkt.Tag)
-			e.freeTag(pkt.Tag)
+			e.freeTags.Push(pkt.Tag)
 			e.LateResps.Inc()
 			return
 		}
@@ -276,7 +260,7 @@ func (e *Endpoint) Dispatch(pkt *flit.Packet) {
 	}
 	e.pend[pkt.Tag] = nil
 	e.npend--
-	e.freeTag(pkt.Tag)
+	e.freeTags.Push(pkt.Tag)
 	e.tags.Release()
 	e.RespsRecv.Inc()
 	f.Complete(pkt)
@@ -404,11 +388,8 @@ func (e *Endpoint) send(pkt *flit.Packet, f *sim.Future[*flit.Packet], t *reqTim
 }
 
 func (e *Endpoint) allocTag() uint16 {
-	if e.ftCount > 0 {
-		t := e.freeTags[e.ftHead]
-		e.ftHead = (e.ftHead + 1) % len(e.freeTags)
-		e.ftCount--
-		return t
+	if e.freeTags.Len() > 0 {
+		return e.freeTags.Pop()
 	}
 	// Bump path: hands out never-recycled tag values; after a full wrap
 	// of the 16-bit space it must probe past still-busy tags.
