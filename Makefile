@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke fccperf-smoke fuzz-smoke
+.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke fccperf-smoke fuzz-smoke loc
 
 # ci is the tier-1 gate: build, vet, the invariant lint pass, the full
 # suite under the race detector, the sharded-equivalence crown jewel
@@ -137,3 +137,10 @@ examples-smoke:
 	done
 	@echo "== cmd/fabtop"; $(GO) run ./cmd/fabtop -trace -switches 3 -fams 3 > /dev/null
 	@echo "== cmd/fabsim"; $(GO) run ./cmd/fabsim > /dev/null
+
+# loc prints the count of non-test Go lines outside cmd/fccperf (the
+# benchmark), testdata, .bench_build and .git: the size a simplification
+# reports before and after. Not part of ci; it gates nothing.
+loc:
+	@find . \( -path ./.git -o -path ./.bench_build -o -path ./cmd/fccperf -o -name testdata \) -prune \
+		-o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l

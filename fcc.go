@@ -114,7 +114,6 @@ type Config struct {
 	LinkConfig    func() link.Config
 	SwitchConfig  func() fabric.SwitchConfig
 	FAMConfig     func(i int, capacity uint64) mem.FAMConfig
-	FAAConfig     func(i int) faa.Config
 	ArbiterConfig func() arbiter.Config
 	ManagerConfig func() fabric.ManagerConfig
 }
@@ -270,11 +269,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		fc := faa.DefaultConfig()
-		if cfg.FAAConfig != nil {
-			fc = cfg.FAAConfig(i)
-		}
-		c.FAAs = append(c.FAAs, faa.New(att.Eng, att, fc))
+		c.FAAs = append(c.FAAs, faa.New(att.Eng, att, faa.DefaultConfig()))
 	}
 	if cfg.Agents {
 		for i := range c.FAMs {

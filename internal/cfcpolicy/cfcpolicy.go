@@ -12,9 +12,9 @@
 //     over active ports with a guaranteed per-port floor, so a hot
 //     port cannot starve its neighbours.
 //
-// Scheduling policies (credit-agnostic vs credit-aware) live in the
-// link package as link.Scheduler implementations; this package supplies
-// the allocation side and the measurement harness glue.
+// Scheduling is not varied here: every link port arbitrates its VCs
+// round-robin, credit-agnostically (package link). This package
+// supplies the allocation side and the measurement harness glue.
 package cfcpolicy
 
 import (

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"fcc/internal/flit"
@@ -71,62 +70,6 @@ func benchTopo(b *testing.B, spec TopoSpec, eps int) *Builder {
 	return bd
 }
 
-// installRoutesPerEndpoint is the pre-overhaul route algorithm — one
-// BFS and fresh scratch per *endpoint* — kept verbatim as the baseline
-// BenchmarkDiscovery's ≥5× acceptance bar is measured against.
-func installRoutesPerEndpoint(b *Builder) {
-	idx := make(map[*Switch]int, len(b.switches))
-	for i, s := range b.switches {
-		idx[s] = i
-	}
-	type edge struct{ to, port int }
-	adj := make([][]edge, len(b.switches))
-	for _, l := range b.links {
-		ai, bi := idx[l.a], idx[l.b]
-		adj[ai] = append(adj[ai], edge{to: bi, port: l.aPort})
-		adj[bi] = append(adj[bi], edge{to: ai, port: l.bPort})
-	}
-	for _, sw := range b.switches {
-		sw.ClearRoutes()
-	}
-	for _, att := range b.attached {
-		home := idx[att.Switch]
-		dist := make([]int, len(b.switches))
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[home] = 0
-		queue := []int{home}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, e := range adj[cur] {
-				if dist[e.to] == -1 {
-					dist[e.to] = dist[cur] + 1
-					queue = append(queue, e.to)
-				}
-			}
-		}
-		for si, sw := range b.switches {
-			if si == home {
-				sw.InstallRoute(att.ID, []int{att.SwitchPort})
-				continue
-			}
-			if dist[si] == -1 {
-				continue
-			}
-			var outs []int
-			for _, e := range adj[si] {
-				if dist[e.to] == dist[si]-1 {
-					outs = append(outs, e.port)
-				}
-			}
-			sort.Ints(outs)
-			sw.InstallRoute(att.ID, outs)
-		}
-	}
-}
-
 // fatTree64 is the 64-switch/512-endpoint acceptance-scale fabric.
 var fatTree64 = TopoSpec{Kind: TopoFatTree, Tiers: 3, Radix: 8, Pods: 6}
 
@@ -153,16 +96,6 @@ func BenchmarkDiscovery(b *testing.B) {
 				bd.InstallRoutesFull(DeadSet{})
 			}
 		})
-	}
-}
-
-// BenchmarkDiscoveryPerEndpointBaseline runs the old per-endpoint-BFS
-// algorithm on the same 64-switch fat-tree for comparison.
-func BenchmarkDiscoveryPerEndpointBaseline(b *testing.B) {
-	bd := benchTopo(b, fatTree64, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		installRoutesPerEndpoint(bd)
 	}
 }
 

@@ -39,8 +39,6 @@ type Config struct {
 	// demand miss it fetches up to this many predicted lines using
 	// spare MSHRs. 0 disables prefetch.
 	PrefetchDepth int
-	// MaxTags is the FHA's outstanding-transaction window (0 = default).
-	MaxTags int
 }
 
 // DefaultConfig returns the Table 2 calibration: L1 32KB/8-way at 5.4ns,
@@ -178,7 +176,7 @@ func New(eng *sim.Engine, name string, cfg Config, att *fabric.Attachment) *Host
 		panic(err)
 	}
 	if att != nil {
-		h.ep = txn.NewEndpoint(eng, att.ID, att.Port, cfg.MaxTags)
+		h.ep = txn.NewEndpoint(eng, att.ID, att.Port, txn.DefaultMaxTags)
 		h.ep.Handler = h.dispatch
 		att.Port.SetSink(h.ep)
 	}
@@ -349,7 +347,7 @@ func (op *accessOp) lookupL2() {
 	// memory.
 	if vbData, ok := h.vb.data[lineAddr]; ok {
 		op.buf = vbData
-		h.installLine(lineAddr, &op.buf, true, op.vbDone)
+		h.installLine(lineAddr, &op.buf, op.vbDone)
 		return
 	}
 	h.missToMemory(op)
@@ -516,7 +514,7 @@ func (m *mshr) fillDone() {
 
 // installLine inserts a fetched line into L2 then L1, draining dirty
 // victims through the victim buffer. done receives the L1 line.
-func (h *Host) installLine(lineAddr uint64, data *[LineSize]byte, fromVB bool, done func(l *line)) *line {
+func (h *Host) installLine(lineAddr uint64, data *[LineSize]byte, done func(l *line)) {
 	finish := func() {
 		l := h.fillL1(lineAddr, data, false)
 		done(l)
@@ -531,10 +529,9 @@ func (h *Host) installLine(lineAddr uint64, data *[LineSize]byte, fromVB bool, d
 			h.writeback(ev.addr, ev.data)
 			finish()
 		})
-		return nil
+		return
 	}
 	finish()
-	return nil
 }
 
 // fillL1 inserts into L1, spilling any dirty L1 victim into L2.

@@ -1,14 +1,15 @@
 // Package link implements the Flex Bus link layer (§2.1): reliable
 // flit transmission between two endpoints with hop-by-hop credit-based
 // flow control (CFC), per-virtual-channel receive buffers, a credit
-// update protocol, CRC-triggered retransmission, and pluggable
-// transmit scheduling.
+// update protocol, CRC-triggered retransmission, and round-robin
+// (credit-agnostic) VC arbitration.
 //
 // The CFC design deliberately exposes the three pathologies the paper
 // calls out under Difference #3 — credit allocation, credit-agnostic
-// scheduling, and credit-starvation backpropagation — via configuration
-// knobs (SharedCreditPool, Scheduler, dynamic SetRxBuf), so the
-// cfcpolicy and arbiter packages can study and fix them.
+// scheduling, and credit-starvation backpropagation: the transmitter
+// takes VCs in turn whatever their credit balance, and configuration
+// knobs (SharedCreditPool, dynamic SetRxBuf) let the cfcpolicy and
+// arbiter packages study and fix the rest.
 package link
 
 import (
@@ -53,10 +54,6 @@ type Config struct {
 	// freed buffer slot is reflected in a credit update to the sender
 	// (the update itself then takes one propagation delay).
 	CreditReturnDelay sim.Time
-	// NewScheduler builds the transmit scheduler for each direction.
-	// Nil selects round-robin, which is credit-agnostic — the default
-	// the paper criticises.
-	NewScheduler func() Scheduler
 	// RetryEnabled turns on CRC checking and link-level retransmission.
 	// With a zero BER it only adds bookkeeping.
 	RetryEnabled bool

@@ -125,24 +125,15 @@ func (p *Port) setDown(down bool) {
 // are absorbed until the balance recovers. The leak is tracked so
 // healing restores exactly what was taken.
 func (p *Port) leakCredits(vc flit.Channel, n int) {
-	if p.cfg.SharedCreditPool {
-		p.shared -= n
-		p.leakedShared += n
-		return
-	}
-	p.credits[vc] -= n
-	p.leaked[vc] += n
+	i := p.credIdx[vc]
+	p.credits[i] -= n
+	p.leaked[i] += n
 }
 
 func (p *Port) restoreLeaked() {
-	if p.cfg.SharedCreditPool {
-		p.shared += p.leakedShared
-		p.leakedShared = 0
-	} else {
-		for i := range p.leaked {
-			p.credits[i] += p.leaked[i]
-			p.leaked[i] = 0
-		}
+	for i := range p.leaked {
+		p.credits[i] += p.leaked[i]
+		p.leaked[i] = 0
 	}
 	p.kick()
 }

@@ -84,32 +84,46 @@ func TestLaneDegradeSlowsSerialization(t *testing.T) {
 }
 
 func TestCreditLeakStallsUntilHealed(t *testing.T) {
-	eng, l, _, sb := testLink(t, nil)
-	vc := int(flit.ChMem)
-	leak := DefaultConfig().RxBufFlits[flit.ChMem] // drain the whole VC
-	heal := 20 * sim.Microsecond
-	eng.After(0, func() {
-		if err := l.InjectFault(fault.Fault{Kind: fault.CreditLeak, VC: vc, Credits: leak}); err != nil {
-			t.Errorf("inject: %v", err)
+	// Per-VC credits: a leak of Mem's whole buffer stalls a Mem packet.
+	// A shared pool: a leak of the whole pool (128 flits), injected on
+	// Mem, stalls an IO packet too, since every VC spends from the pool.
+	for _, tc := range []struct {
+		shared bool
+		leak   int // the whole VC buffer or pool, DefaultConfig's 32 flits a VC
+		pkt    *flit.Packet
+	}{
+		{false, 32, memPacket(1, 64)},
+		{true, 128, &flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr, Src: 1, Dst: 2, Tag: 1, Size: 64}},
+	} {
+		shared, leak := tc.shared, tc.leak
+		eng, l, _, sb := testLink(t, func(c *Config) { c.SharedCreditPool = shared })
+		heal := 20 * sim.Microsecond
+		eng.After(0, func() {
+			if err := l.InjectFault(fault.Fault{Kind: fault.CreditLeak, VC: int(flit.ChMem), Credits: leak}); err != nil {
+				t.Errorf("inject: %v", err)
+			}
+			l.A().Send(tc.pkt)
+		})
+		eng.After(heal, func() {
+			if err := l.HealFault(fault.CreditLeak); err != nil {
+				t.Errorf("heal: %v", err)
+			}
+		})
+		eng.Run()
+		if len(sb.got) != 1 {
+			t.Fatalf("shared=%v: delivered %d packets across a credit leak, want 1", shared, len(sb.got))
 		}
-		l.A().Send(memPacket(1, 64))
-	})
-	eng.After(heal, func() {
-		if err := l.HealFault(fault.CreditLeak); err != nil {
-			t.Errorf("heal: %v", err)
+		if sb.times[0] < heal {
+			t.Fatalf("shared=%v: packet delivered at %v with zero credits (heal at %v)", shared, sb.times[0], heal)
 		}
-	})
-	eng.Run()
-	if len(sb.got) != 1 {
-		t.Fatalf("delivered %d packets across a credit leak, want 1", len(sb.got))
-	}
-	if sb.times[0] < heal {
-		t.Fatalf("packet delivered at %v with zero credits (heal at %v)", sb.times[0], heal)
-	}
-	// Healing restored exactly the leaked credits: after the queue
-	// drained, the transmit-side balance is back to the full buffer.
-	if got := l.A().Credits(flit.ChMem); got != leak {
-		t.Fatalf("post-heal credits = %d, want %d", got, leak)
+		// Healing restored exactly the leaked credits: after the queue
+		// drained, every VC's transmit-side balance is back to the full
+		// buffer or pool.
+		for vc := flit.Channel(0); vc < flit.NumChannels; vc++ {
+			if got := l.A().Credits(vc); got != leak {
+				t.Fatalf("shared=%v: post-heal credits on %v = %d, want %d", shared, vc, got, leak)
+			}
+		}
 	}
 }
 

@@ -236,31 +236,32 @@ type Port struct {
 	xmb *sim.Mailbox
 
 	// Transmit state. txqFlits counts the flits of txq not yet on the
-	// wire.
+	// wire. credits is the transmit credit ledger: VC vc spends and earns
+	// credits[credIdx[vc]], its own slot, or slot 0 for every VC when
+	// they share one pool. rrNext is the VC the round-robin arbiter
+	// tries first.
 	txq      [flit.NumChannels]sim.Queue[*txPacket]
 	txqFlits [flit.NumChannels]int
 	retryq   [flit.NumChannels]sim.Queue[*flit.Flit]
 	credits  [flit.NumChannels]int
-	shared   int
+	credIdx  [flit.NumChannels]uint8
 	sending  bool
 	lockedVC int
-	sched    Scheduler
+	rrNext   int
 	vcSeq    [flit.NumChannels]uint32
 	replay   [flit.NumChannels]map[uint32]*flit.Flit
-
-	viewBuf [flit.NumChannels]VCView // pickVC's scratch
 
 	// Fault state (see the fault.Injectable implementation on Link).
 	// down pauses the transmitter; flits already serialized onto the
 	// wire still land at the peer, so a flap stalls but never loses
 	// data. laneDiv > 1 multiplies serialization time, modelling a link
-	// renegotiated to fewer lanes. leaked tracks credits removed by an
-	// injected CreditLeak so healing restores exactly that amount.
-	down         bool
-	downAt       sim.Time
-	laneDiv      int
-	leaked       [flit.NumChannels]int
-	leakedShared int
+	// renegotiated to fewer lanes. leaked tracks, by ledger slot, the
+	// credits removed by an injected CreditLeak so healing restores
+	// exactly that amount.
+	down    bool
+	downAt  sim.Time
+	laneDiv int
+	leaked  [flit.NumChannels]int
 
 	// stalled marks an open transmit-stall episode (traffic queued, no
 	// usable credit). It is confirmed into StallPicks by a check event
@@ -311,25 +312,16 @@ func newPort(eng *sim.Engine, name string, cfg Config) *Port {
 		rng:      sim.NewRNG(cfg.Seed ^ 0xfabc),
 		QueueLat: sim.NewHistogram(),
 	}
-	if cfg.NewScheduler != nil {
-		p.sched = cfg.NewScheduler()
-	} else {
-		p.sched = NewRoundRobin()
-	}
 	for i := range p.credits {
-		p.credits[i] = cfg.RxBufFlits[i]
+		if !cfg.SharedCreditPool {
+			p.credIdx[i] = uint8(i)
+		}
+		p.credits[p.credIdx[i]] += cfg.RxBufFlits[i]
 		p.rxLimit[i] = cfg.RxBufFlits[i]
 		if cfg.RetryEnabled {
 			p.replay[i] = make(map[uint32]*flit.Flit)
 			p.rxStash[i] = make(map[uint32]*flit.Flit)
 		}
-	}
-	if cfg.SharedCreditPool {
-		total := 0
-		for _, n := range cfg.RxBufFlits {
-			total += n
-		}
-		p.shared = total
 	}
 	return p
 }
@@ -475,41 +467,28 @@ func (p *Port) TxQueuePackets(vc flit.Channel) int {
 
 // Credits reports the transmit credits currently available on a VC (or
 // the shared pool when so configured).
-func (p *Port) Credits(vc flit.Channel) int {
-	if p.cfg.SharedCreditPool {
-		return p.shared
-	}
-	return p.credits[vc]
-}
-
-// creditAvailable reports whether one flit's worth of credit exists.
-func (p *Port) creditAvailable(vc flit.Channel) bool { return p.Credits(vc) > 0 }
+func (p *Port) Credits(vc flit.Channel) int { return p.credits[p.credIdx[vc]] }
 
 func (p *Port) consumeCredit(vc flit.Channel) {
-	if p.cfg.SharedCreditPool {
-		p.shared--
-		if p.shared < 0 {
-			panic("link: shared credit underflow")
-		}
-		return
-	}
-	p.credits[vc]--
-	if p.credits[vc] < 0 {
+	i := p.credIdx[vc]
+	p.credits[i]--
+	if p.credits[i] < 0 {
 		panic("link: credit underflow on " + vc.String())
 	}
 }
 
 // addCredits is invoked (after wire delay) when the peer frees buffer.
 func (p *Port) addCredits(vc flit.Channel, n int) {
-	if p.cfg.SharedCreditPool {
-		p.shared += n
-	} else {
-		p.credits[vc] += n
-	}
+	p.credits[p.credIdx[vc]] += n
 	p.kick()
 }
 
-// pickVC chooses the VC for the next flit, honouring packet arbitration.
+// pickVC chooses the VC for the next flit: the locked VC while packet
+// arbitration holds one mid-packet, else the first eligible VC in
+// round-robin order from rrNext. The rotation ignores credit balances
+// and waiting times — the credit-agnostic scheduling the paper
+// criticises (Difference #3) — and a pick that finds nothing eligible
+// leaves it where it was.
 func (p *Port) pickVC() int {
 	if p.lockedVC >= 0 {
 		vc := flit.Channel(p.lockedVC)
@@ -518,45 +497,24 @@ func (p *Port) pickVC() int {
 		}
 		// Locked but stalled: packet-level head-of-line blocking. This
 		// is precisely the stall StallPicks exists to expose — count it
-		// the same as a scheduler pick that found traffic but no credit.
+		// the same as an unlocked pick that found traffic but no credit.
 		p.noteStall()
 		return -1
 	}
-	// Fill the views in two passes: the cheap fields first, then —
-	// only when some VC is eligible — the ones only Pick reads. With
-	// none eligible every scheduler picks -1 and keeps its state, so it
-	// is not consulted (Scheduler's contract).
-	views := p.viewBuf[:] // scratch; schedulers read it synchronously
-	queued, eligible := false, false
-	for i := range views {
-		vc, v := flit.Channel(i), &views[i]
-		v.QueuedFlits = p.TxQueueFlits(vc)
-		v.Eligible = p.eligible(vc)
-		queued = queued || v.QueuedFlits > 0
-		eligible = eligible || v.Eligible
-	}
-	if !eligible {
-		if queued {
-			p.noteStall()
+	queued := false
+	for i := 0; i < flit.NumChannels; i++ {
+		idx := (p.rrNext + i) % flit.NumChannels
+		vc := flit.Channel(idx)
+		if p.eligible(vc) {
+			p.rrNext = (idx + 1) % flit.NumChannels
+			return idx
 		}
-		return -1
+		queued = queued || p.TxQueueFlits(vc) > 0
 	}
-	now := p.eng.Now()
-	for i := range views {
-		vc, v := flit.Channel(i), &views[i]
-		v.Channel = vc
-		v.QueuedPackets = p.TxQueuePackets(vc)
-		v.Credits = p.Credits(vc)
-		v.HeadAge = 0
-		if v.QueuedPackets > 0 {
-			v.HeadAge = int64(now - p.txq[vc].Front().enq)
-		}
+	if queued {
+		p.noteStall()
 	}
-	idx := p.sched.Pick(views)
-	if idx < 0 {
-		p.noteStall() // an eligible VC has queued flits
-	}
-	return idx
+	return -1
 }
 
 // noteStall opens a stall episode and schedules its confirmation one
@@ -586,7 +544,7 @@ func (p *Port) eligible(vc flit.Channel) bool {
 	if p.retryq[vc].Len() > 0 {
 		return true // retransmissions own their credit already
 	}
-	return p.TxQueuePackets(vc) > 0 && p.creditAvailable(vc)
+	return p.txq[vc].Len() > 0 && p.Credits(vc) > 0
 }
 
 // kick advances the transmitter if the wire is idle and a flit is ready.

@@ -39,9 +39,7 @@ func chainFire(a any) {
 
 // BenchmarkEngineScheduleFire is the headline scheduler number: one
 // schedule + one dispatch per iteration through the closure-free ladder
-// path. Compare against BenchmarkEngineScheduleFireHeap (the pre-ladder
-// container/heap executive) for the speedup, and against allocs/op = 0
-// for the pooling contract.
+// path. Compare against allocs/op = 0 for the pooling contract.
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	e := NewEngine()
 	st := &chainState{e: e, limit: b.N, d: Nanosecond}
@@ -73,27 +71,6 @@ func BenchmarkEngineScheduleFireFanout(b *testing.B) {
 	}
 	e.Run()
 	b.ReportMetric(float64(fired)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkEngineScheduleFireHeap runs the identical chain on the
-// preserved pre-PR container/heap executive (see engine_equiv_test.go).
-// The acceptance bar for the ladder rewrite is >= 2x the events/sec of
-// this baseline.
-func BenchmarkEngineScheduleFireHeap(b *testing.B) {
-	e := &heapEngine{}
-	n := 0
-	var step func()
-	step = func() {
-		n++
-		if n < b.N {
-			e.At(e.Now()+Nanosecond, step)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.At(0, step)
-	e.Run()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkProcSwitch measures a process yield that never switches: the

@@ -8,9 +8,8 @@ import (
 
 // heapEngine preserves the pre-ladder container/heap executive verbatim
 // (modulo the pieces irrelevant to ordering). It exists as the reference
-// implementation for the equivalence property test and as the baseline
-// for BenchmarkEngineScheduleFireHeap, so the ladder queue's speedup and
-// exact-order claims stay checkable in-repo.
+// implementation for the equivalence tests and FuzzEngineOrder, so the
+// ladder queue's exact-order claim stays checkable in-repo.
 type heapEngine struct {
 	now   Time
 	queue heapEventQueue
