@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"bytes"
 	"testing"
 
 	"fcc/internal/fabric"
@@ -38,6 +39,49 @@ func ccRig(t *testing.T, n int, ccfg ClientConfig) (*sim.Engine, []*Client, *Dir
 		clients = append(clients, NewClient(eng, h, dir.ID(), ccfg))
 	}
 	return eng, clients, dir
+}
+
+// TestDirectoryOverlappingReadsKeepTheirLines reads distinct lines back
+// to back, so the directory's home reads overlap inside the FEA's
+// 310 ns return delay: first node 0 takes each line exclusive from
+// home, then node 1's reads downgrade node 0, whose clean copies send
+// the directory back to home once more. Each protocol action reads
+// into its own buffer and keeps it until its grant is sent, so every
+// read returns its own line.
+func TestDirectoryOverlappingReadsKeepTheirLines(t *testing.T) {
+	eng, cs, dir := ccRig(t, 2, DefaultClientConfig())
+	const lines = 8
+	home := dir.fam.DRAM().Store()
+	want := make([][]byte, lines)
+	for i := range want {
+		want[i] = make([]byte, 64)
+		for j := range want[i] {
+			want[i][j] = byte(i*64 + j + 1)
+		}
+		home.Write(uint64(i)*64, want[i])
+	}
+	for _, c := range cs {
+		got := make([][]byte, lines)
+		eng.After(0, func() {
+			for i := range got {
+				c.Read(uint64(i) * 64).OnComplete(func(b []byte, err error) {
+					if err != nil {
+						t.Errorf("read %d: %v", i, err)
+					}
+					got[i] = b
+				})
+			}
+		})
+		eng.Run()
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("node %d read line %d as % x, want % x", c.Host().ID(), i, got[i], want[i])
+			}
+		}
+	}
+	if s := dir.StateOf(0); s != "shared(2)" {
+		t.Fatalf("line 0 is %s after both nodes read it, want shared(2)", s)
+	}
 }
 
 func TestCCReadWriteSingleNode(t *testing.T) {

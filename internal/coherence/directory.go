@@ -132,7 +132,7 @@ type Directory struct {
 
 	// opFree recycles the per-action pipeline records; their step
 	// callbacks are bound once, so the snoop-free protocol paths (plain
-	// grants and writebacks) allocate only the response packet.
+	// grants and writebacks) allocate nothing.
 	opFree *dirOp
 
 	// Metrics.
@@ -224,9 +224,9 @@ func (d *Directory) entry(addr uint64) *dirEntry {
 // dirOp carries one serialized protocol action. Its step callbacks are
 // bound once at construction and the record recycled, so the snoop-free
 // paths — plain grants from home and writebacks, the overwhelming bulk
-// of directory traffic — allocate only their response packet. The
-// snoop-bearing branches keep closures: they are multi-branch and rare
-// by comparison.
+// of directory traffic — allocate nothing: the request becomes its own
+// response, and a home read lands in the op's buf. The snoop-bearing
+// branches keep closures: they are multi-branch and rare by comparison.
 type dirOp struct {
 	d          *Directory
 	next       *dirOp
@@ -235,12 +235,17 @@ type dirOp struct {
 	req        *flit.Packet
 	reply      func(*flit.Packet)
 	grant      uint32
-	data       []byte
+	data       []byte // the line the grant carries
 	stillOwner bool
+
+	// buf is the op's home read buffer, reused by every action the op
+	// serves: replyUnlock sends the response at once, before it
+	// recycles the op (txn.Sender), so no grant still points at it.
+	buf [64]byte
 
 	run      func()
 	unlock   func(*flit.Packet)
-	homeDone func([]byte)
+	homeDone func()
 	grantFn  func()
 	wbStep   func()
 	wbReply  func()
@@ -255,8 +260,8 @@ func (d *Directory) getOp() *dirOp {
 			op.d.serve(op)
 		}
 		op.unlock = op.replyUnlock
-		op.homeDone = op.grantFromHome
-		op.grantFn = func() { op.unlock(grantRespOwned(op.req, op.grant, op.data)) }
+		op.homeDone = op.grantLine
+		op.grantFn = func() { op.unlock(grantResp(op.req, op.grant, op.data)) }
 		op.wbStep = op.wbApply
 		op.wbReply = func() { op.unlock(op.req.Response(flit.OpCacheResp, 0)) }
 	} else {
@@ -281,12 +286,11 @@ func (op *dirOp) replyUnlock(resp *flit.Packet) {
 	d.opFree = op
 }
 
-// grantFromHome applies the grant's directory mutation and schedules the
-// response after the FEA delay. For grantShared the requester joins the
-// sharer set; the exclusive and modified grants install the requester as
-// owner (idempotent for an owner re-grant).
-func (op *dirOp) grantFromHome(data []byte) {
-	op.data = data
+// grantLine applies the grant's directory mutation and schedules the
+// response carrying op.data after the FEA delay. For grantShared the
+// requester joins the sharer set; the exclusive and modified grants
+// install the requester as owner (idempotent for an owner re-grant).
+func (op *dirOp) grantLine() {
 	e := op.e
 	if op.grant == grantShared {
 		e.sharers.add(op.req.Src)
@@ -334,7 +338,6 @@ func (d *Directory) handle(req *flit.Packet, reply func(*flit.Packet)) {
 // serve executes one serialized protocol action.
 func (d *Directory) serve(op *dirOp) {
 	e, addr, req := op.e, op.addr, op.req
-	reply := op.unlock
 	fea := d.fam.FEALat()
 	switch req.Op {
 	case flit.OpCacheRd:
@@ -342,33 +345,35 @@ func (d *Directory) serve(op *dirOp) {
 		switch e.state {
 		case dirUncached:
 			op.grant = grantExclusive
-			d.readHome(addr, op.homeDone)
+			d.readHome(op, op.homeDone)
 		case dirShared:
 			op.grant = grantShared
-			d.readHome(addr, op.homeDone)
+			d.readHome(op, op.homeDone)
 		case dirExclusive:
 			if e.owner == req.Src {
 				// Owner re-reading its own line (stale directory after a
 				// lost eviction notice): re-grant from home.
 				op.grant = grantExclusive
-				d.readHome(addr, op.homeDone)
+				d.readHome(op, op.homeDone)
 				return
 			}
 			// Downgrade the owner; it supplies the (possibly dirty) data.
 			d.snoop(flit.OpSnpData, e.owner, addr, func(dirty []byte) {
-				done := func(data []byte) {
+				done := func() {
 					e.sharers.add(e.owner)
 					e.sharers.add(req.Src)
 					e.owner = 0
 					e.state = dirShared
-					d.eng.After(fea, func() { reply(grantResp(req, grantShared, data)) })
+					op.grant = grantShared
+					d.eng.After(fea, op.grantFn)
 				}
 				if dirty != nil {
 					d.Forwards.Inc()
-					d.writeHome(addr, dirty, func() { done(dirty) })
+					op.data = dirty
+					d.writeHome(addr, dirty, done)
 					return
 				}
-				d.readHome(addr, done)
+				d.readHome(op, done)
 			})
 		}
 	case flit.OpCacheRdOwn:
@@ -376,7 +381,7 @@ func (d *Directory) serve(op *dirOp) {
 		switch e.state {
 		case dirUncached:
 			op.grant = grantModified
-			d.readHome(addr, op.homeDone)
+			d.readHome(op, op.homeDone)
 		case dirShared:
 			// Bit iteration yields ascending port order, so the snoop
 			// fan-out is sorted by construction (maporder invariant) and
@@ -393,25 +398,23 @@ func (d *Directory) serve(op *dirOp) {
 			d.targetScratch = targets
 			d.invalidateAll(targets, addr, func() {
 				e.sharers.clear()
-				d.grantOwnership(e, addr, req, reply, nil)
+				d.grantOwnership(op, nil)
 			})
 		case dirExclusive:
 			if e.owner == req.Src {
 				// Owner re-requesting (e.g. lost race with its own
 				// eviction); just re-grant.
 				op.grant = grantModified
-				d.readHome(addr, op.homeDone)
+				d.readHome(op, op.homeDone)
 				return
 			}
 			d.snoop(flit.OpSnpInv, e.owner, addr, func(dirty []byte) {
 				if dirty != nil {
 					d.Forwards.Inc()
-					d.writeHome(addr, dirty, func() {
-						d.grantOwnership(e, addr, req, reply, dirty)
-					})
+					d.writeHome(addr, dirty, func() { d.grantOwnership(op, dirty) })
 					return
 				}
-				d.grantOwnership(e, addr, req, reply, nil)
+				d.grantOwnership(op, nil)
 			})
 		}
 	case flit.OpCacheWB:
@@ -428,32 +431,23 @@ func (d *Directory) serve(op *dirOp) {
 	}
 }
 
-func (d *Directory) grantOwnership(e *dirEntry, addr uint64, req *flit.Packet,
-	reply func(*flit.Packet), dirty []byte) {
-	fea := d.fam.FEALat()
-	done := func(data []byte) {
-		e.state = dirExclusive
-		e.owner = req.Src
-		d.eng.After(fea, func() { reply(grantResp(req, grantModified, data)) })
-	}
-	if dirty != nil {
-		done(dirty)
+// grantOwnership grants the requester the line modified once every
+// other copy is gone: with the dirty data the old owner's snoop
+// returned, or else read from home, as a plain grantModified is.
+func (d *Directory) grantOwnership(op *dirOp, dirty []byte) {
+	op.grant = grantModified
+	if dirty == nil {
+		d.readHome(op, op.homeDone)
 		return
 	}
-	d.readHome(addr, done)
+	op.data = dirty
+	op.grantLine()
 }
 
+// grantResp turns the request into its grant. The response takes data
+// without a copy: it is the op's buf or a snoop response's payload,
+// and the op holds either until replyUnlock has sent the grant.
 func grantResp(req *flit.Packet, grant uint32, data []byte) *flit.Packet {
-	resp := req.Response(flit.OpCacheResp, uint32(len(data)))
-	resp.ReqLen = grant
-	resp.Data = append([]byte(nil), data...)
-	return resp
-}
-
-// grantRespOwned builds a grant around a buffer the directory owns
-// outright (fresh from home DRAM), so ownership transfers to the
-// response without a copy.
-func grantRespOwned(req *flit.Packet, grant uint32, data []byte) *flit.Packet {
 	resp := req.Response(flit.OpCacheResp, uint32(len(data)))
 	resp.ReqLen = grant
 	resp.Data = data
@@ -499,8 +493,11 @@ func (d *Directory) invalidateAll(targets []flit.PortID, addr uint64, done func(
 	}
 }
 
-func (d *Directory) readHome(addr uint64, done func([]byte)) {
-	d.fam.DRAM().Read(addr, 64, done)
+// readHome reads op's line from home DRAM into op.buf, which becomes
+// the line the grant carries, and runs done once the read completes.
+func (d *Directory) readHome(op *dirOp, done func()) {
+	op.data = op.buf[:]
+	d.fam.DRAM().Read(op.addr, op.data, done)
 }
 
 func (d *Directory) writeHome(addr uint64, data []byte, done func()) {

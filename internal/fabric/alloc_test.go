@@ -54,11 +54,10 @@ func echo(req *flit.Packet, reply func(*flit.Packet)) {
 }
 
 // roundTripAllocs measures the steady-state allocations of one read
-// round trip from h to dst, after warming every pool on the path and
-// the engine's event lists: a switch's zero-delay arbitration event
-// lands in the engine's active list, whose backing arrays rotate
-// through the wheel buckets and take about 1,000 batches to stop
-// growing.
+// round trip from h to dst, after a few batches have warmed every pool
+// on the path. The engine's wheel buckets are event lists, and its one
+// dispatch list reaches its peak in the first batch, so the engine
+// needs no longer warm-up.
 func roundTripAllocs(eng *sim.Engine, h *txn.Endpoint, dst flit.PortID) float64 {
 	batch := func() {
 		for i := 0; i < 16; i++ {
@@ -66,7 +65,7 @@ func roundTripAllocs(eng *sim.Engine, h *txn.Endpoint, dst flit.PortID) float64 
 		}
 		eng.Run()
 	}
-	for round := 0; round < 1024; round++ {
+	for round := 0; round < 4; round++ {
 		batch()
 	}
 	return testing.AllocsPerRun(20, batch) / 16
@@ -74,8 +73,8 @@ func roundTripAllocs(eng *sim.Engine, h *txn.Endpoint, dst flit.PortID) float64 
 
 // TestSwitchHopZeroAlloc pins a switch hop at zero allocations: a read
 // round trip across a line of 1, 2 or 3 switches allocates no more than
-// the same round trip over one direct link (the escaping packets, their
-// payload and the future). Only the endpoints decode packets; a switch
+// the same round trip over one direct link (the escaping packets, each
+// with its payload inline, and the future). Only the endpoints decode packets; a switch
 // hands the received flit train to its output port, which copies it into
 // pooled flits.
 func TestSwitchHopZeroAlloc(t *testing.T) {
@@ -144,9 +143,10 @@ func TestHeldOutputZeroAlloc(t *testing.T) {
 			}
 			eng.Run()
 		}
-		// Warm until every engine wheel bucket has met its peak load, so
-		// both runs allocate only what escapes (6 objects per write).
-		for round := 0; round < 256; round++ {
+		// Warm the pools, so both runs allocate only what escapes: 4
+		// objects per write (the request, its future and the two
+		// decoded packets).
+		for round := 0; round < 4; round++ {
 			batch()
 		}
 		return testing.AllocsPerRun(20, batch), sw.HolStalls.Value()

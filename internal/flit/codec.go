@@ -146,29 +146,12 @@ func parseHeader(buf []byte) (Header, error) {
 	return h, nil
 }
 
-// packet builds the full packet header h was parsed from, adding the
-// fields only endpoints read: Addr and ReqLen.
-func (h Header) packet(buf []byte) *Packet {
-	return &Packet{
-		Chan:   h.Chan,
-		Op:     h.Op,
-		Src:    h.Src,
-		Dst:    h.Dst,
-		Tag:    h.Tag,
-		Addr:   binary.LittleEndian.Uint64(buf[8:16]),
-		Size:   h.Size,
-		Hops:   h.Hops,
-		ReqLen: uint32(buf[21]) | uint32(buf[22])<<8 | uint32(buf[23])<<16,
-	}
-}
-
-// DecodeHeader parses a packet header from buf.
-func DecodeHeader(buf []byte) (*Packet, error) {
-	h, err := parseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	return h.packet(buf), nil
+// fill writes the packet header h was parsed from into p: h's fields
+// plus the two only endpoints read, Addr and ReqLen.
+func (h Header) fill(p *Packet, buf []byte) {
+	p.Chan, p.Op, p.Src, p.Dst, p.Tag, p.Size, p.Hops = h.Chan, h.Op, h.Src, h.Dst, h.Tag, h.Size, h.Hops
+	p.Addr = binary.LittleEndian.Uint64(buf[8:16])
+	p.ReqLen = uint32(buf[21]) | uint32(buf[22])<<8 | uint32(buf[23])<<16
 }
 
 // Corrupt flips one bit of the flit payload (for link-error injection)

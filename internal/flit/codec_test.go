@@ -8,10 +8,11 @@ import (
 	"testing/quick"
 )
 
-// Encode and Decode are the unpooled codec: every flit and every buffer
-// freshly allocated, one straight pass each way. They are the oracle the
-// pooled codec (Pool.Encode, Pool.Decode, Pool.PeekHeader and
-// Pool.Forward) is checked against here and in FuzzDecode.
+// Encode, Decode and DecodeHeader are the unpooled codec: every flit
+// and every buffer freshly allocated, one straight pass each way. They
+// are the oracle the pooled codec (Pool.Encode, Pool.Decode,
+// Pool.PeekHeader and Pool.Forward) is checked against here and in
+// FuzzDecode.
 
 // Encode splits a packet into flits, starting at link sequence number
 // firstSeq. Packets with nil Data get a zero payload of p.Size bytes;
@@ -52,6 +53,17 @@ func Encode(m Mode, p *Packet, firstSeq uint32) ([]*Flit, error) {
 		flits = append(flits, f)
 	}
 	return flits, nil
+}
+
+// DecodeHeader parses a packet header from buf.
+func DecodeHeader(buf []byte) (*Packet, error) {
+	h, err := parseHeader(buf)
+	if err != nil {
+		return nil, err
+	}
+	p := new(Packet)
+	h.fill(p, buf)
+	return p, nil
 }
 
 // Decode reassembles a packet from its flits, verifying every CRC.
@@ -425,14 +437,23 @@ func samePacket(a, b *Packet) bool {
 		(a.Data == nil) == (b.Data == nil)
 }
 
+// TestResponseSwapsEndpoints pins Response: the request itself becomes
+// the response, with the op's channel, Src and Dst swapped, the same
+// Tag and Addr, the given Size, and ReqLen, Hops and Data cleared.
 func TestResponseSwapsEndpoints(t *testing.T) {
-	req := &Packet{Chan: ChMem, Op: OpMemRd, Src: 5, Dst: 9, Tag: 77, Addr: 0x1000}
-	resp := req.Response(OpMemRdData, 64)
-	if resp.Src != 9 || resp.Dst != 5 || resp.Tag != 77 || resp.Addr != 0x1000 {
-		t.Fatalf("response = %+v", resp)
-	}
-	if resp.Chan != ChMem {
-		t.Fatalf("response channel = %v", resp.Chan)
+	for _, req := range []*Packet{
+		{Chan: ChMem, Op: OpMemRd, Src: 5, Dst: 9, Tag: 77, Addr: 0x1000},
+		{Chan: ChIO, Op: OpIOWr, Src: 5, Dst: 9, Tag: 77, Addr: 0x1000,
+			Size: 4, Data: []byte{1, 2, 3, 4}, ReqLen: 4096, Hops: 3},
+	} {
+		resp := req.Response(OpMemRdData, 64)
+		want := &Packet{Chan: ChMem, Op: OpMemRdData, Src: 9, Dst: 5, Tag: 77, Addr: 0x1000, Size: 64}
+		if resp != req {
+			t.Fatalf("Response returned a new packet, not its receiver")
+		}
+		if !samePacket(resp, want) {
+			t.Fatalf("response = %+v, want %+v", resp, want)
+		}
 	}
 }
 

@@ -212,16 +212,13 @@ func (p *Packet) String() string {
 		p.Chan, p.Op, p.Src, p.Dst, p.Tag, p.Addr, p.Size)
 }
 
-// Response constructs the response packet for a request, swapping
-// src/dst and preserving the tag. respSize is the response payload size.
+// Response turns the request into its response in place and returns
+// it: opcode op on op's channel, Src and Dst swapped, the same Tag and
+// Addr, Size respSize, and ReqLen, Hops and Data zero. The request is
+// gone once Response returns, so a handler reads what it needs of it
+// first. A handler's request is its own to overwrite: the link decoded
+// it for this one delivery (Pool.Decode), and nothing else holds it.
 func (p *Packet) Response(op Op, respSize uint32) *Packet {
-	return &Packet{
-		Chan: op.Channel(),
-		Op:   op,
-		Src:  p.Dst,
-		Dst:  p.Src,
-		Tag:  p.Tag,
-		Addr: p.Addr,
-		Size: respSize,
-	}
+	*p = Packet{Chan: op.Channel(), Op: op, Src: p.Dst, Dst: p.Src, Tag: p.Tag, Addr: p.Addr, Size: respSize}
+	return p
 }

@@ -175,20 +175,44 @@ func (pl *Pool) PeekHeader(flits []*Flit) (Header, error) {
 	return h, nil
 }
 
+// inlineLine is the largest payload Decode stores inside the packet's
+// own allocation: one cache line, the payload of every CXL.mem data
+// message.
+const inlineLine = 64
+
+// linePacket is a decoded packet together with the storage of a payload
+// of up to inlineLine bytes.
+type linePacket struct {
+	Packet
+	line [inlineLine]byte
+}
+
 // Decode reassembles a packet from its flits after PeekHeader's checks,
 // copying the payload straight from the flits into the packet's Data.
-// The returned Packet (and its Data) are freshly allocated — they
-// escape to the transaction layer and beyond, so they cannot alias
-// flit buffers. The input flits are NOT released; the caller owns them
-// and releases after a successful decode.
+// The packet is one new object: a bare Packet when it carries no
+// payload, the Packet and its Data together when the payload is at most
+// 64 bytes, and a Packet plus a Data slice of its own beyond that. It
+// escapes to the transaction layer and beyond, so it cannot alias flit
+// buffers. The input flits are NOT released; the caller owns them and
+// releases after a successful decode.
 func (pl *Pool) Decode(flits []*Flit) (*Packet, error) {
 	h, err := pl.PeekHeader(flits)
 	if err != nil {
 		return nil, err
 	}
-	p := h.packet(flits[0].Payload)
+	var p *Packet
+	switch {
+	case h.Size == 0:
+		p = new(Packet)
+	case h.Size <= inlineLine:
+		lp := new(linePacket)
+		p = &lp.Packet
+		p.Data = lp.line[:h.Size:h.Size]
+	default:
+		p = &Packet{Data: make([]byte, h.Size)}
+	}
+	h.fill(p, flits[0].Payload)
 	if h.Size > 0 {
-		p.Data = make([]byte, h.Size)
 		n := copy(p.Data, flits[0].Payload[headerSize:])
 		for _, f := range flits[1:] {
 			n += copy(p.Data[n:], f.Payload)

@@ -124,9 +124,8 @@ func TestPoolDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestPoolEncodeZeroAlloc: steady-state pooled encode/decode of a
-// recycled packet allocates only the escaping Packet+Data from Decode,
-// never flits or staging buffers.
+// TestPoolEncodeZeroAlloc: steady-state pooled encode of a recycled
+// packet allocates nothing, neither flits nor staging buffers.
 func TestPoolEncodeZeroAlloc(t *testing.T) {
 	pl := NewPool(Mode256)
 	p := poolPacket(512, 7)
@@ -149,6 +148,33 @@ func TestPoolEncodeZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("pooled encode allocates %.1f per packet, want 0", n)
+	}
+}
+
+// TestPoolDecodeOneObject pins what a decode allocates: one object for a
+// packet without payload or with one of up to 64 bytes, which rides
+// inside it, and a second for the payload beyond that. An inline
+// payload's capacity ends at its length, so appending to it never
+// writes into the rest of the line.
+func TestPoolDecodeOneObject(t *testing.T) {
+	for _, tc := range []struct {
+		size   uint32
+		allocs float64
+	}{{0, 1}, {8, 1}, {64, 1}, {65, 2}, {512, 2}} {
+		pl := NewPool(Mode68)
+		want := poolPacket(tc.size, 0xA5)
+		flits, err := pl.Encode(want, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *Packet
+		n := testing.AllocsPerRun(100, func() { got, _ = pl.Decode(flits) })
+		if n != tc.allocs {
+			t.Errorf("decoding a %d-byte payload allocates %.1f, want %.0f", tc.size, n, tc.allocs)
+		}
+		if !samePacket(got, want) || cap(got.Data) != len(got.Data) {
+			t.Errorf("decoded %+v (cap %d), want %+v", got, cap(got.Data), want)
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ type mshr struct {
 	resp     *flit.Packet
 	next     *mshr
 
-	dramDone  func([]byte)
+	dramDone  func()
 	sendReq   func()
 	respDone  func(*flit.Packet, error)
 	respDelay func()
@@ -405,10 +405,7 @@ func (h *Host) getMSHR() *mshr {
 	m := h.mshrFree
 	if m == nil {
 		m = &mshr{h: h}
-		m.dramDone = func(b []byte) {
-			copy(m.buf[:], b)
-			m.install()
-		}
+		m.dramDone = m.install
 		m.sendReq = func() { m.h.ep.Request(m.req).OnComplete(m.respDone) }
 		m.respDone = func(resp *flit.Packet, err error) {
 			if err != nil {
@@ -467,7 +464,7 @@ func (h *Host) missToMemory(op *accessOp) {
 func (h *Host) fetchLine(m *mshr) {
 	r := h.amap.MustLookup(m.lineAddr)
 	if r.Local {
-		h.dram.Read(m.lineAddr, LineSize, m.dramDone)
+		h.dram.Read(m.lineAddr, m.buf[:], m.dramDone)
 		return
 	}
 	h.RemoteReads.Inc()

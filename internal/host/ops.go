@@ -274,7 +274,10 @@ func (h *Host) UncachedRead(addr uint64, n uint32) *sim.Future[[]byte] {
 	f := sim.NewFuture[[]byte]()
 	r := h.amap.MustLookup(addr)
 	if r.Local {
-		h.dram.Read(addr, int(n), func(b []byte) { f.Complete(b) })
+		// The bytes escape through the future, so they get a buffer of
+		// their own.
+		b := make([]byte, n)
+		h.dram.Read(addr, b, func() { f.Complete(b) })
 		return f
 	}
 	req := &flit.Packet{Chan: flit.ChIO, Op: flit.OpIORd, Dst: r.Port,

@@ -47,12 +47,12 @@ func TestLinkSendPathZeroAlloc(t *testing.T) {
 }
 
 // TestLinkDeliveryAllocCeiling bounds the receive side: delivering a
-// packet hands the sink a freshly allocated Packet (plus Data) by
-// design — those escape to the transaction layer; the credit-release
-// record is pooled — but nothing else on the wire path may allocate. The ceiling of 8
-// allocations per delivered packet catches any regression back to
-// per-flit or per-event allocation (2 flits + ~4 events per packet
-// previously cost ~10 allocations on top of the escaping ones).
+// packet hands the sink a freshly allocated Packet by design — it
+// escapes to the transaction layer, and a 64-byte payload rides inside
+// it — while the credit-release record is pooled and nothing else on
+// the wire path may allocate. So a delivered 64-byte write costs at
+// most 1 allocation end to end: a payload of its own, a flit or an
+// event would each show as a second.
 func TestLinkDeliveryAllocCeiling(t *testing.T) {
 	eng, l := allocRig(t, "allocd")
 	pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemWr, Src: 1, Dst: 2, Size: 64}
@@ -68,8 +68,10 @@ func TestLinkDeliveryAllocCeiling(t *testing.T) {
 		}
 		eng.Run()
 	})
-	if perPkt := n / 16; perPkt > 8 {
-		t.Fatalf("delivery allocates %.2f per packet end to end, want <= 8", perPkt)
+	perPkt := n / 16
+	t.Logf("delivery: %.2f allocs per 64-byte write", perPkt)
+	if perPkt > 1 {
+		t.Fatalf("delivery allocates %.2f per packet end to end, want <= 1", perPkt)
 	}
 }
 
@@ -104,9 +106,9 @@ func TestRetransmitZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	// Warm until every engine wheel bucket has met its peak load, so
-	// both measurements count only the decoded packets.
-	for round := 0; round < 256; round++ {
+	// Warm the pools, so both measurements count only the decoded
+	// packets.
+	for round := 0; round < 4; round++ {
 		cycles(true)()
 		cycles(false)()
 	}

@@ -11,11 +11,11 @@ func BenchmarkDRAMRead(b *testing.B) {
 	eng := sim.NewEngine()
 	d := NewDRAM(eng, DefaultDRAM(), 1<<30)
 	done := 0
+	count := func() { done++ }
+	var buf [64]byte
 	eng.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			i := i
-			d.Read(uint64(i%1000)*64, 64, func([]byte) { done++ })
-			_ = i
+			d.Read(uint64(i%1000)*64, buf[:], count)
 			p.Sleep(40 * sim.Nanosecond)
 		}
 	})

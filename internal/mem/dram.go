@@ -54,9 +54,9 @@ type DRAM struct {
 type dramOp struct {
 	d     *DRAM
 	addr  uint64
-	n     int
+	dst   []byte
 	prev  uint64
-	done  func([]byte)
+	done  func()
 	doneA func(uint64)
 	next  *dramOp
 }
@@ -75,13 +75,12 @@ func (d *DRAM) getOp() *dramOp {
 func dramReadFire(a any) {
 	op := a.(*dramOp)
 	d := op.d
-	buf := make([]byte, op.n)
-	d.store.Read(op.addr, buf)
+	d.store.Read(op.addr, op.dst)
 	done := op.done
-	op.done = nil
+	op.dst, op.done = nil, nil
 	op.next = d.opFree
 	d.opFree = op
-	done(buf)
+	done()
 }
 
 func dramAtomicFire(a any) {
@@ -124,18 +123,21 @@ func occUnits(n int) int {
 	return (n + 63) / 64
 }
 
-// Read fetches n bytes at addr; done receives the data when both the
-// access latency has elapsed and the data bus has carried the transfer.
-func (d *DRAM) Read(addr uint64, n int, done func(data []byte)) {
+// Read fetches len(dst) bytes at addr into dst, a buffer the reader
+// owns, and calls done once both the access latency has elapsed and the
+// data bus has carried the transfer. The bytes are read from the store
+// then, at completion, not at the call, so dst must stay the reader's
+// until done runs.
+func (d *DRAM) Read(addr uint64, dst []byte, done func()) {
 	d.Reads.Inc()
-	occ := sim.Time(occUnits(n)) * d.cfg.ReadOcc
+	occ := sim.Time(occUnits(len(dst))) * d.cfg.ReadOcc
 	bankFree := d.rd[d.bankIdx(addr)].Use(occ, nil)
 	finish := d.eng.Now() + d.cfg.ReadLat
 	if bankFree > finish {
 		finish = bankFree
 	}
 	op := d.getOp()
-	op.addr, op.n, op.done = addr, n, done
+	op.addr, op.dst, op.done = addr, dst, done
 	d.eng.At2(finish, dramReadFire, op)
 }
 

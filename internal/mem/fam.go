@@ -3,6 +3,7 @@ package mem
 //fcclint:hotpath request pipeline op records must stay pooled (PR 5)
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"fcc/internal/fabric"
@@ -169,9 +170,10 @@ func (f *FAM) allowed(src flit.PortID, addr uint64, n uint32) bool {
 // famOp carries one request through the FEA/DRAM pipeline. Its stage
 // callbacks are bound to the op once at construction and the op is
 // recycled through the device free list, so the serve path allocates
-// nothing beyond the response packet. The epoch captured at arrival
-// guards the reply: a device that died (or died and recovered) while the
-// request was in flight answers nothing.
+// nothing: the request becomes its own response, and a read lands in
+// the op's buf, which the response carries out. The epoch captured at
+// arrival guards the reply: a device that died (or died and recovered)
+// while the request was in flight answers nothing.
 type famOp struct {
 	f     *FAM
 	req   *flit.Packet
@@ -185,12 +187,16 @@ type famOp struct {
 	data  []byte
 	next  *famOp
 
+	// buf is the op's read buffer, reused by every read the op serves:
+	// reply sends the response at once, before finish recycles the op
+	// (txn.Sender), so no response still points at it by then.
+	buf []byte
+
 	enter     func()
 	stage1    func()
 	stage2    func()
 	replyStep func()
-	dramRd    func([]byte)
-	dramWr    func()
+	dramDone  func()
 	dramAt    func(uint64)
 }
 
@@ -210,11 +216,7 @@ func (f *FAM) getOp() *famOp {
 		op.stage1 = op.runStage1
 		op.stage2 = op.runStage2
 		op.replyStep = func() { op.finish(op.resp) }
-		op.dramRd = func(data []byte) {
-			op.data = data
-			op.f.eng.After(op.f.cfg.FEALat, op.stage2)
-		}
-		op.dramWr = func() { op.f.eng.After(op.f.cfg.FEALat, op.stage2) }
+		op.dramDone = func() { op.f.eng.After(op.f.cfg.FEALat, op.stage2) }
 		op.dramAt = func(prev uint64) {
 			op.prev = prev
 			op.f.eng.After(op.f.cfg.FEALat, op.stage2)
@@ -230,9 +232,13 @@ func (op *famOp) runStage1() {
 	f := op.f
 	switch op.kind {
 	case famRd, famIORd:
-		f.dram.Read(op.req.Addr, int(op.n), op.dramRd)
+		if cap(op.buf) < int(op.n) {
+			op.buf = make([]byte, op.n)
+		}
+		op.data = op.buf[:op.n]
+		f.dram.Read(op.req.Addr, op.data, op.dramDone)
 	case famWr, famIOWr:
-		f.dram.Write(op.req.Addr, op.data, op.dramWr)
+		f.dram.Write(op.req.Addr, op.data, op.dramDone)
 	case famAt:
 		f.dram.Atomic(op.req.Addr, op.delta, op.dramAt)
 	}
@@ -254,11 +260,8 @@ func (op *famOp) runStage2() {
 	case famIOWr:
 		op.finish(req.Response(flit.OpIOAck, 0))
 	case famAt:
-		prev := op.prev
 		resp := req.Response(flit.OpMemAtomicR, 8)
-		resp.Data = []byte{byte(prev), byte(prev >> 8), byte(prev >> 16),
-			byte(prev >> 24), byte(prev >> 32), byte(prev >> 40),
-			byte(prev >> 48), byte(prev >> 56)}
+		resp.Data = binary.LittleEndian.AppendUint64(op.buf[:0], op.prev)
 		op.finish(resp)
 	}
 }

@@ -78,7 +78,7 @@ func TestDRAMReadLatency(t *testing.T) {
 	d := NewDRAM(eng, DefaultDRAM(), 1<<20)
 	var at sim.Time
 	eng.After(0, func() {
-		d.Read(0, 64, func([]byte) { at = eng.Now() })
+		d.Read(0, make([]byte, 64), func() { at = eng.Now() })
 	})
 	eng.Run()
 	if at != DefaultDRAM().ReadLat {
@@ -92,9 +92,10 @@ func TestDRAMOccupancyBoundsThroughput(t *testing.T) {
 	d := NewDRAM(eng, cfg, 1<<20)
 	const n = 1000
 	done := 0
+	var buf [64]byte
 	eng.After(0, func() {
 		for i := 0; i < n; i++ {
-			d.Read(uint64(i*64), 64, func([]byte) { done++ })
+			d.Read(uint64(i*64), buf[:], func() { done++ })
 		}
 	})
 	eng.Run()
@@ -116,7 +117,7 @@ func TestDRAMBanksParallelize(t *testing.T) {
 		d := NewDRAM(eng, cfg, 1<<20)
 		eng.After(0, func() {
 			for i := 0; i < 256; i++ {
-				d.Read(uint64(i*64), 64, func([]byte) {})
+				d.Read(uint64(i*64), make([]byte, 64), func() {})
 			}
 		})
 		eng.Run()
@@ -132,15 +133,62 @@ func TestDRAMBanksParallelize(t *testing.T) {
 func TestDRAMWriteReadData(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDRAM(eng, DefaultDRAM(), 1<<20)
-	var got []byte
+	got := make([]byte, 4)
+	read := false
 	eng.After(0, func() {
 		d.Write(128, []byte{1, 2, 3, 4}, func() {
-			d.Read(128, 4, func(b []byte) { got = b })
+			d.Read(128, got, func() { read = true })
 		})
 	})
 	eng.Run()
-	if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
-		t.Fatalf("got %v", got)
+	if !read || !bytes.Equal(got, []byte{1, 2, 3, 4}) {
+		t.Fatalf("read %v, got %v", read, got)
+	}
+}
+
+// TestDRAMReadFillsAtCompletion pins when a read takes its bytes from
+// the array: at completion, into the reader's own buffer, so a write
+// committed while the read is in flight is what the read returns.
+func TestDRAMReadFillsAtCompletion(t *testing.T) {
+	eng := sim.NewEngine()
+	d := NewDRAM(eng, DefaultDRAM(), 1<<20)
+	got := []byte{9, 9, 9, 9}
+	var at sim.Time
+	eng.After(0, func() {
+		d.Read(256, got, func() { at = eng.Now() })
+		if !bytes.Equal(got, []byte{9, 9, 9, 9}) {
+			t.Errorf("read filled its buffer at the call: %v", got)
+		}
+	})
+	eng.After(sim.Nanosecond, func() { d.Write(256, []byte{5, 6, 7, 8}, nil) })
+	eng.Run()
+	if at != DefaultDRAM().ReadLat || !bytes.Equal(got, []byte{5, 6, 7, 8}) {
+		t.Fatalf("read done at %v with %v, want %v with the write's bytes", at, got, DefaultDRAM().ReadLat)
+	}
+}
+
+// TestDRAMReadZeroAlloc pins a warm read at zero allocations: the bytes
+// land in the reader's buffer and the completion record is pooled.
+func TestDRAMReadZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	d := NewDRAM(eng, DefaultDRAM(), 1<<20)
+	var buf [64]byte
+	done := 0
+	count := func() { done++ }
+	read := func() {
+		for i := 0; i < 16; i++ {
+			d.Read(uint64(i*64), buf[:], count)
+		}
+		eng.Run()
+	}
+	for round := 0; round < 64; round++ {
+		read()
+	}
+	if n := testing.AllocsPerRun(20, read); n != 0 {
+		t.Fatalf("16 warm reads allocate %.2f, want 0", n)
+	}
+	if done == 0 {
+		t.Fatal("no read completed")
 	}
 }
 
@@ -203,6 +251,57 @@ func TestFAMReadWriteThroughFabric(t *testing.T) {
 	eng.Run()
 	if !bytes.Equal(readBack, bytes.Repeat([]byte{0x5A}, 64)) {
 		t.Fatal("data did not round trip through the fabric")
+	}
+}
+
+// TestFAMOverlappingReadsKeepTheirLines issues reads of distinct lines
+// back to back — line reads, two-line bulk reads and fetch-adds — so
+// they are all inside the FEA's 310 ns return delay at once. Each op
+// reads into its own buffer and keeps it until its response is sent,
+// so every response carries its own bytes.
+func TestFAMOverlappingReadsKeepTheirLines(t *testing.T) {
+	eng, h, f := famRig(t, DefaultFAMConfig(1<<24))
+	const lines = 12
+	for i := 0; i < lines+1; i++ {
+		b := make([]byte, 64)
+		for j := range b {
+			b[j] = byte(i*64 + j + 1)
+		}
+		f.DRAM().Store().Write(uint64(i)*64, b)
+	}
+	got := make([][]byte, lines)
+	want := make([][]byte, lines)
+	eng.After(0, func() {
+		for i := 0; i < lines; i++ {
+			addr := uint64(i) * 64
+			pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: f.ID(), Addr: addr, ReqLen: 64}
+			switch i % 3 {
+			case 1:
+				pkt = &flit.Packet{Chan: flit.ChIO, Op: flit.OpIORd, Dst: f.ID(), Addr: addr, ReqLen: 128}
+			case 2:
+				pkt = &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemAtomic, Dst: f.ID(), Addr: addr,
+					Size: 8, Data: make([]byte, 8)}
+			}
+			n := pkt.ReqLen
+			if n == 0 {
+				n = 8
+			}
+			want[i] = make([]byte, n)
+			f.DRAM().Store().Read(addr, want[i])
+			h.Request(pkt).OnComplete(func(resp *flit.Packet, err error) {
+				if err != nil {
+					t.Errorf("read %d: %v", i, err)
+					return
+				}
+				got[i] = resp.Data
+			})
+		}
+	})
+	eng.Run()
+	for i := range got {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("read %d at %#x returned % x, want % x", i, i*64, got[i], want[i])
+		}
 	}
 }
 

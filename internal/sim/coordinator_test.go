@@ -213,10 +213,10 @@ func TestCoordinatorZeroAllocWindows(t *testing.T) {
 	for s := 0; s < 3; s++ {
 		c.Engine(s).At2(n.period, tickFire, args[s])
 	}
-	// Warm pools, buffers, and scratch. Long enough for the 150ns tick
-	// pattern to tour all 1024 wheel buckets, so every bucket slice has
-	// its capacity — the engine allocates once per never-touched bucket.
-	c.RunUntil(Millisecond)
+	// Warm pools, buffers, and scratch: a hundred rounds, so every
+	// mailbox buffer and the merge scratch have met their peak. The
+	// engines' wheel buckets are event lists, with no storage to warm.
+	c.RunUntil(10 * Microsecond)
 	if allocs := testing.AllocsPerRun(50, func() {
 		c.RunFor(10 * window)
 	}); allocs != 0 {

@@ -25,18 +25,21 @@ import (
 //
 //   - near tier: a ring of numBuckets buckets, each bucketWidth of
 //     virtual time wide, spanning a ~1µs window ahead of the clock.
-//     Enqueue appends to the bucket (O(1)); a bucket is sorted once, by
-//     (at, seq), at the moment it becomes the active dispatch list. An
+//     A bucket is a list linked through the events themselves, so
+//     enqueue is a pointer push (O(1)) and the ring holds no storage of
+//     its own to grow. A bucket is moved into the one dispatch list and
+//     sorted, by (at, seq), at the moment it becomes active. An
 //     occupancy bitmap makes "find the next non-empty bucket" a few word
 //     scans.
 //   - far tier: a plain binary min-heap for events beyond the window.
 //     As the window slides forward, far events migrate into buckets.
 //
-// Events are drawn from a per-engine free list and recycled after firing,
-// so steady-state scheduling performs zero heap allocations when the
-// closure-free API (At2/After2) is used. The (at, seq) tie-break order is
-// exactly the order the previous container/heap implementation produced,
-// so same-seed runs are byte-identical across the two schedulers (see
+// Events are drawn from a per-engine free list, minted into it a slab
+// of eventSlab at a time, and recycled after firing, so steady-state
+// scheduling performs zero heap allocations when the closure-free API
+// (At2/After2) is used. The (at, seq) tie-break order is exactly the
+// order the previous container/heap implementation produced, so
+// same-seed runs are byte-identical across the two schedulers (see
 // TestLadderMatchesHeapReference).
 type Engine struct {
 	now     Time
@@ -51,10 +54,11 @@ type Engine struct {
 	curIdx int
 	curEnd Time
 
-	// buckets hold events with curEnd <= at < curEnd+windowSpan. The
-	// slot for time t is (t>>bucketShift)&bucketMask: the window is
-	// exactly one revolution long, so in-window slots never alias.
-	buckets [numBuckets][]*event
+	// buckets hold events with curEnd <= at < curEnd+windowSpan, each
+	// bucket a list linked through event.next, newest first. The slot
+	// for time t is (t>>bucketShift)&bucketMask: the window is exactly
+	// one revolution long, so in-window slots never alias.
+	buckets [numBuckets]*event
 	occ     [numBuckets / 64]uint64
 	wheeln  int
 
@@ -114,8 +118,9 @@ const (
 
 // event is one scheduled callback. kind selects the form: fn is the
 // closure form (At/After), afn+arg the closure-free form (At2/After2),
-// and kindProc stores the process to resume in arg. next links the free
-// list.
+// and kindProc stores the process to resume in arg. next links the
+// event's wheel bucket while it waits there, and the free list once it
+// has fired.
 type event struct {
 	at   Time
 	seq  uint64
@@ -170,11 +175,20 @@ func (e *Engine) Pending() int {
 	return len(e.cur) - e.curIdx + e.wheeln + len(e.far)
 }
 
-// alloc takes an event from the pool, or mints one.
+// eventSlab is how many events alloc mints at once when the pool is
+// empty: one allocation where a fresh engine's warm-up would make 64.
+const eventSlab = 64
+
+// alloc takes an event from the pool, first minting a slab of them into
+// it if it is empty.
 func (e *Engine) alloc() *event {
 	ev := e.free
 	if ev == nil {
-		return &event{}
+		slab := new([eventSlab]event)
+		for i := range slab[:eventSlab-1] {
+			slab[i].next = &slab[i+1]
+		}
+		ev = &slab[0]
 	}
 	e.free = ev.next
 	ev.next = nil
@@ -309,7 +323,8 @@ func (e *Engine) enqueue(ev *event) {
 
 func (e *Engine) enqueueWheel(ev *event) {
 	s := int(ev.at>>bucketShift) & bucketMask
-	e.buckets[s] = append(e.buckets[s], ev)
+	ev.next = e.buckets[s]
+	e.buckets[s] = ev
 	e.occ[s>>6] |= 1 << (s & 63)
 	e.wheeln++
 }
@@ -394,7 +409,16 @@ func (e *Engine) refill() bool {
 	s := e.nextOccupied(start)
 	d := (s - start + numBuckets) & bucketMask
 	slotStart := e.curEnd + Time(d)<<bucketShift
-	e.cur, e.buckets[s] = e.buckets[s], e.cur[:0]
+	// The bucket lists its events newest first: reversed, cur holds them
+	// in enqueue order, the nearly sorted input the sort does best on.
+	for ev := e.buckets[s]; ev != nil; {
+		next := ev.next
+		ev.next = nil
+		e.cur = append(e.cur, ev)
+		ev = next
+	}
+	slices.Reverse(e.cur)
+	e.buckets[s] = nil
 	e.occ[s>>6] &^= 1 << (s & 63)
 	e.wheeln -= len(e.cur)
 	e.curEnd = slotStart + bucketWidth

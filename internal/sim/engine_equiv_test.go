@@ -514,6 +514,39 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestEngineColdWheelAllocs pins what a fresh engine pays to warm up: a
+// revolution of 4 events in each of the 1,024 wheel buckets mints its
+// events a slab at a time and links them into the buckets, so it costs
+// at most 100 allocations. Buckets grown by append and events minted
+// one by one cost 7,168. A second revolution on the same engine must
+// fire its own events and nothing else, so a bucket refill leaves no
+// event behind in the ring.
+func TestEngineColdWheelAllocs(t *testing.T) {
+	fired := 0
+	count := func(any) { fired++ }
+	revolution := func(e *Engine) {
+		base := e.curEnd
+		for s := 0; s < numBuckets; s++ {
+			for k := 0; k < 4; k++ {
+				e.At2(base+Time(s)<<bucketShift+Time(k), count, nil)
+			}
+		}
+		e.Run()
+	}
+	n := testing.AllocsPerRun(4, func() { revolution(NewEngine()) })
+	t.Logf("a fresh engine's first revolution: %.0f allocs", n)
+	if n > 100 {
+		t.Fatalf("4 events in each of %d buckets on a fresh engine allocate %.0f, want <= 100", numBuckets, n)
+	}
+	e := NewEngine()
+	fired = 0
+	revolution(e)
+	revolution(e)
+	if want := 2 * 4 * numBuckets; fired != want || e.Pending() != 0 {
+		t.Fatalf("two revolutions fired %d events with %d pending, want %d and 0", fired, e.Pending(), want)
+	}
+}
+
 // TestEngineZeroAllocReusedClosure: the closure API is also allocation-
 // free when the caller hoists the closure out of the loop (the event
 // object itself is pooled).

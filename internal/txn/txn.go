@@ -35,7 +35,10 @@ type Sender interface {
 }
 
 // Handler serves incoming requests at an endpoint. reply must be called
-// exactly once with the response packet (use req.Response to build it).
+// exactly once with the response packet. req.Response builds it by
+// turning req itself into the response, so a handler reads what it
+// needs of the request first; the request is the handler's alone, a
+// packet the link decoded for this delivery.
 type Handler func(req *flit.Packet, reply func(resp *flit.Packet))
 
 // Endpoint is the transaction-layer state of one fabric endpoint: it
