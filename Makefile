@@ -69,10 +69,12 @@ fabstore-equiv:
 
 # bench runs every benchmark in the tree and records the perf
 # trajectory as BENCH_<date>.json (events/sec, ns/op, allocs/op — see
-# cmd/benchjson). Compare against the committed document from the
-# previous PR before merging scheduler or flit-path changes.
+# cmd/benchjson), or as BENCH_<date>b.json … z when that day already has
+# one: benchjson never replaces a document. Compare against the
+# committed document from the previous PR before merging scheduler or
+# flit-path changes.
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -out BENCH_$$(date +%F).json
+	$(GO) test -run '^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson
 
 # bench-diff compares the two most recent committed BENCH_<date>.json
 # documents (ns/op and allocs/op deltas; see cmd/benchdiff). It rides

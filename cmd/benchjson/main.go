@@ -4,6 +4,10 @@
 // path changes against the committed trajectory of events/sec, ns/op,
 // and allocs/op.
 //
+// It never replaces a document: without -out it writes the first free
+// name among BENCH_<date>.json, BENCH_<date>b.json, … BENCH_<date>z.json,
+// and an -out that names an existing file is an error (exit 1).
+//
 // Input lines are echoed to stdout unchanged so the tool can sit at the
 // end of a pipe without hiding progress.
 package main
@@ -11,9 +15,12 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -58,16 +65,18 @@ var (
 )
 
 func main() {
-	out := flag.String("out", "", "output path (default BENCH_<date>.json)")
+	out := flag.String("out", "", "output path, which must not exist (default: the first free BENCH_<date>[b-z].json)")
 	flag.Parse()
-	path := *out
-	if path == "" {
-		path = "BENCH_" + time.Now().Format("2006-01-02") + ".json"
+	date := time.Now().Format("2006-01-02")
+	path, err := docPath(".", *out, date)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
 	}
 
 	d := doc{
 		Schema:     1,
-		Date:       time.Now().Format("2006-01-02"),
+		Date:       date,
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
@@ -101,11 +110,54 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: marshal: %v\n", err)
 		os.Exit(1)
 	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+	if err := writeNew(path, append(raw, '\n')); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("benchjson: wrote %d benchmarks to %s\n", len(d.Benchmarks), path)
+}
+
+// docPath picks the file the document goes to. An explicit out is used
+// as given, unless it exists. Without one it is the first name in dir
+// not yet taken among BENCH_<date>.json, BENCH_<date>b.json, …
+// BENCH_<date>z.json: the order in which benchdiff, sorting the names,
+// reads a day's documents as oldest first.
+func docPath(dir, out, date string) (string, error) {
+	if out != "" {
+		_, err := os.Lstat(out)
+		if err == nil {
+			return "", fmt.Errorf("%s exists; benchjson never replaces a document", out)
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return "", err
+		}
+		return out, nil
+	}
+	names := []string{"BENCH_" + date + ".json"}
+	for c := 'b'; c <= 'z'; c++ {
+		names = append(names, "BENCH_"+date+string(c)+".json")
+	}
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		if _, err := os.Lstat(path); errors.Is(err, fs.ErrNotExist) {
+			return path, nil
+		}
+	}
+	return "", fmt.Errorf("BENCH_%s.json through BENCH_%sz.json all exist", date, date)
+}
+
+// writeNew writes raw to a file that must not exist yet, so a document
+// that appeared since docPath looked is not replaced either.
+func writeNew(path string, raw []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(raw); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // parseBenchLine parses one `go test -bench` result line, e.g.
