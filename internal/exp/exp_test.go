@@ -10,7 +10,7 @@ import (
 // in the root benchmark suite.
 
 func TestTable2MatchesPaperWithin10Pct(t *testing.T) {
-	rows := Table2()
+	rows := table2Run()
 	for i, r := range rows {
 		p := Table2Paper[i]
 		check := func(name string, got, want float64, tol float64) {
@@ -26,7 +26,7 @@ func TestTable2MatchesPaperWithin10Pct(t *testing.T) {
 }
 
 func TestTable2RemoteIsTenXLocal(t *testing.T) {
-	rows := Table2()
+	rows := table2Run()
 	ratio := rows[3].ReadLatNs / rows[2].ReadLatNs
 	if ratio < 10 {
 		t.Fatalf("remote/local = %.1fx, paper reports ~14x (at least 10x)", ratio)
@@ -43,7 +43,7 @@ func TestFigure1RendersAllRoles(t *testing.T) {
 }
 
 func TestClaimMLPLinear(t *testing.T) {
-	rows := ClaimMLP()
+	rows := mlpRun()
 	// MOPS/MSHR must be nearly constant (latency-bound regime).
 	base := rows[0].MOPS / rows[0].MSHRs
 	for _, r := range rows[:4] { // 16 MSHRs starts brushing other limits
@@ -55,14 +55,14 @@ func TestClaimMLPLinear(t *testing.T) {
 }
 
 func TestClaimContentionAddsLatency(t *testing.T) {
-	r := ClaimContention()
+	r := contentionRun()
 	if r.AddedNs < 200 || r.AddedNs > 1500 {
 		t.Fatalf("added one-way latency %.0fns, want the paper's few-hundred-ns class", r.AddedNs)
 	}
 }
 
 func TestClaimInterleaveDrasticAndMitigated(t *testing.T) {
-	r := ClaimInterleave()
+	r := interleaveRun()
 	if r.WithBulkNs < 5*r.AloneNs {
 		t.Fatalf("shared-pool degradation only %.1fx, want drastic (>5x)", r.WithBulkNs/r.AloneNs)
 	}
@@ -72,7 +72,7 @@ func TestClaimInterleaveDrasticAndMitigated(t *testing.T) {
 }
 
 func TestClaimSwitchClass(t *testing.T) {
-	r := ClaimSwitch()
+	r := switchRun()
 	if r.TransitNs > 100 {
 		t.Fatalf("transit %.0fns, want <100ns", r.TransitNs)
 	}
@@ -82,13 +82,13 @@ func TestClaimSwitchClass(t *testing.T) {
 }
 
 func TestClaimRTTUnderBound(t *testing.T) {
-	if r := ClaimRTT(); r.RTTNs > 200 {
+	if r := rttRun(); r.RTTNs > 200 {
 		t.Fatalf("RTT %.0fns exceeds the 200ns bound", r.RTTNs)
 	}
 }
 
 func TestETransManagedWins(t *testing.T) {
-	r := ETransAblation()
+	r := etransRun()
 	if r.ManagedUs*2 > r.SyncUs {
 		t.Fatalf("managed %.0fus vs sync %.0fus, want >=2x", r.ManagedUs, r.SyncUs)
 	}
@@ -98,7 +98,7 @@ func TestETransManagedWins(t *testing.T) {
 }
 
 func TestIdemAlwaysCorrect(t *testing.T) {
-	for _, r := range IdemAblation() {
+	for _, r := range idemRun() {
 		if !r.AllCorrect {
 			t.Fatalf("corruption at failProb %.1f", r.FailProb)
 		}
@@ -109,7 +109,7 @@ func TestIdemAlwaysCorrect(t *testing.T) {
 }
 
 func TestCFCShapes(t *testing.T) {
-	rows := CFCAblation()
+	rows := cfcRun()
 	static, ramp, adaptive := rows[0], rows[1], rows[2]
 	if ramp.JainFairness >= static.JainFairness {
 		t.Fatalf("ramp-up fairness %.3f not worse than static %.3f",
@@ -122,7 +122,7 @@ func TestCFCShapes(t *testing.T) {
 }
 
 func TestNodeTypeNiches(t *testing.T) {
-	rows := NodeTypes()
+	rows := nodeTypesRun()
 	byKind := map[string]NodeRow{}
 	for _, r := range rows {
 		byKind[r.Kind] = r
