@@ -73,49 +73,9 @@ func TestLateResponseAfterTimeoutIsDropped(t *testing.T) {
 	}
 }
 
-// TestTombDrainHorizonExpiry is the regression test for unbounded tomb
-// growth: without a horizon a long-lived endpoint under repeated
-// timeouts accumulates tombstones forever; with DrainHorizon set, each
-// tomb is dropped once any straggling response must have drained, and
-// the tag returns to circulation.
-func TestTombDrainHorizonExpiry(t *testing.T) {
-	eng, a, b := pair(t, 0)
-	b.Handler = func(req *flit.Packet, reply func(*flit.Packet)) {} // never replies
-	a.Timeout = 1 * sim.Microsecond
-	a.DrainHorizon = 10 * sim.Microsecond
-	const n = 32
-	for i := 0; i < n; i++ {
-		at := sim.Time(i) * 100 * sim.Nanosecond
-		eng.At(at, func() {
-			a.Request(&flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: 2}).
-				OnComplete(func(_ *flit.Packet, err error) {
-					if !errors.Is(err, ErrTimeout) {
-						t.Errorf("err = %v, want ErrTimeout", err)
-					}
-				})
-		})
-	}
-	eng.RunUntil(5 * sim.Microsecond)
-	if a.Tombstones() == 0 {
-		t.Fatal("no tombstones while requests are timing out — test is vacuous")
-	}
-	eng.Run()
-	if a.Tombstones() != 0 {
-		t.Fatalf("%d tombstones survived the drain horizon, want 0", a.Tombstones())
-	}
-	if a.Timeouts.Value() != n {
-		t.Fatalf("timeouts = %d, want %d", a.Timeouts.Value(), n)
-	}
-	// The expired tags are reusable again: the free queue must hand
-	// them out without the bump pointer advancing past them.
-	if a.freeTags.Len() == 0 {
-		t.Fatal("expired tags did not return to the free queue")
-	}
-}
-
-// TestTombsAccumulateWithoutHorizon pins the default (horizon disabled):
-// tombs persist, so late responses from arbitrarily slow paths can never
-// complete a recycled tag's request.
+// TestTombsAccumulateWithoutHorizon pins that tombs persist until their
+// late response lands: no timer expires them, so a response from an
+// arbitrarily slow path can never complete a recycled tag's request.
 func TestTombsAccumulateWithoutHorizon(t *testing.T) {
 	eng, a, b := pair(t, 0)
 	b.Handler = func(req *flit.Packet, reply func(*flit.Packet)) {}
@@ -128,7 +88,7 @@ func TestTombsAccumulateWithoutHorizon(t *testing.T) {
 	}
 	eng.Run()
 	if a.Tombstones() != 4 {
-		t.Fatalf("tombstones = %d with DrainHorizon = 0, want 4", a.Tombstones())
+		t.Fatalf("tombstones = %d, want 4", a.Tombstones())
 	}
 }
 

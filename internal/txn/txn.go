@@ -86,14 +86,6 @@ type Endpoint struct {
 	// forever — the right semantics for a fabric that cannot fail.
 	Timeout sim.Time
 
-	// DrainHorizon, when > 0, bounds how long a tombstoned tag is
-	// retained: once the horizon passes, any response still in flight
-	// must have drained from the fabric, so the tomb is dropped and the
-	// tag returns to circulation. Zero (the default) keeps tombs
-	// forever — safe, but a long-lived endpoint under repeated timeouts
-	// accumulates them without bound.
-	DrainHorizon sim.Time
-
 	// Handler serves inbound requests. It may be nil for pure
 	// initiators (a request arriving then panics — a topology bug).
 	Handler Handler
@@ -177,16 +169,6 @@ func (e *Endpoint) setTomb(t uint16) {
 	}
 	e.tomb[t>>6] |= 1 << (t & 63)
 	e.ntomb++
-	if e.DrainHorizon > 0 {
-		e.eng.After(e.DrainHorizon, func() {
-			// The response may have landed (late) in the meantime and
-			// cleared the tomb already.
-			if e.tombed(t) {
-				e.clearTomb(t)
-				e.freeTags.Push(t)
-			}
-		})
-	}
 }
 
 func (e *Endpoint) clearTomb(t uint16) {
