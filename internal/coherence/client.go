@@ -523,6 +523,3 @@ func (c *Client) handleSnoop(req *flit.Packet, reply func(*flit.Packet)) {
 		panic("coherence: unexpected snoop " + req.Op.String())
 	}
 }
-
-// LinesCached reports the client's resident line count.
-func (c *Client) LinesCached() int { return len(c.lines) }

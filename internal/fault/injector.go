@@ -53,13 +53,6 @@ func (in *Injector) Register(targets ...Injectable) {
 	}
 }
 
-// Targets reports the registered FaultIDs in registration order.
-func (in *Injector) Targets() []string {
-	out := make([]string, len(in.names))
-	copy(out, in.names)
-	return out
-}
-
 // Schedule validates the plan (every target registered and supporting
 // its fault kind, no event in the past) and arms every event on the
 // engine. Validation is up-front so a typo'd target fails at schedule

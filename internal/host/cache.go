@@ -178,7 +178,3 @@ func (c *cache) invalidate(lineAddr uint64) (data [LineSize]byte, dirty, present
 	}
 	return data, false, false
 }
-
-// Hits and Misses expose counters for experiments.
-func (c *cache) Hits() int64   { return c.hits.Value() }
-func (c *cache) Misses() int64 { return c.misses.Value() }

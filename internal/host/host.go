@@ -192,9 +192,6 @@ func (h *Host) ID() flit.PortID { return h.ep.ID() }
 // Endpoint exposes the FHA transaction endpoint.
 func (h *Host) Endpoint() *txn.Endpoint { return h.ep }
 
-// LocalDRAM exposes the host's DIMMs (for direct seeding in tests).
-func (h *Host) LocalDRAM() *mem.DRAM { return h.dram }
-
 // AddrMap exposes the host's physical memory map.
 func (h *Host) AddrMap() *AddrMap { return h.amap }
 

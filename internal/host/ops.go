@@ -217,11 +217,6 @@ func (h *Host) InvalidateRange(addr uint64, n uint64) {
 	}
 }
 
-// CacheStats reports hit/miss counters for both levels.
-func (h *Host) CacheStats() (l1Hits, l1Misses, l2Hits, l2Misses int64) {
-	return h.l1.Hits(), h.l1.Misses(), h.l2.Hits(), h.l2.Misses()
-}
-
 // ---- uncached operations ----
 
 // FetchAdd performs a remote (or local) atomic fetch-add on the 8 bytes

@@ -42,9 +42,6 @@ func NewCross(name string, cfg Config, engA, engB *sim.Engine, ab, ba *sim.Mailb
 	return l, nil
 }
 
-// Cross reports whether the link spans two shards.
-func (l *Link) Cross() bool { return l.a.xmb != nil }
-
 // xmsg draws the record of a wire message to the peer's shard,
 // addressed to the peer: one the peer's engine handed back through the
 // mailbox, else one from this engine's list.

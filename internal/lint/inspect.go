@@ -16,11 +16,6 @@ type Cursor struct {
 	stack []ast.Node
 }
 
-// Stack returns the ancestors of Node, outermost first, not including
-// Node itself. The slice is owned by the walker and only valid for the
-// duration of the callback.
-func (c *Cursor) Stack() []ast.Node { return c.stack }
-
 // EnclosingFunc returns the innermost FuncDecl or FuncLit strictly
 // enclosing Node, or nil if Node is at file scope.
 func (c *Cursor) EnclosingFunc() ast.Node {

@@ -136,16 +136,6 @@ func (p *Package) FuncDecl(obj *types.Func) *ast.FuncDecl {
 	return p.funcDecls[obj]
 }
 
-// FileOf returns the file a position belongs to, or nil.
-func (p *Package) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // simPkgPath is the engine package whose contract the analyzers protect.
 const simPkgPath = "fcc/internal/sim"
 

@@ -93,14 +93,6 @@ func (p *Pipe) Use(hold Time, done func()) Time {
 	return end
 }
 
-// FreeAt reports the earliest time the pipe is idle.
-func (p *Pipe) FreeAt() Time {
-	if p.busy < p.eng.Now() {
-		return p.eng.Now()
-	}
-	return p.busy
-}
-
 // Enter queues work on the pipe FIFO: start runs at the moment service
 // begins (after any backlog), and the pipe stays occupied for hold
 // beyond that. Unlike Use, the caller's work proceeds at service START,

@@ -142,9 +142,6 @@ func (o *Obj) Class() Class { return o.pool.spec.Class }
 // Pin prevents migration.
 func (o *Obj) Pin() { o.pinned = true }
 
-// Heat reports the decayed access temperature (diagnostics).
-func (o *Obj) Heat() float64 { return o.heat }
-
 // Config tunes the heap runtime.
 type Config struct {
 	// Epoch is the profiling/migration period. 0 disables migration.
