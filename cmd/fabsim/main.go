@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"fcc"
+	"fcc/internal/exp"
 	"fcc/internal/flit"
 	"fcc/internal/link"
 	"fcc/internal/sim"
@@ -59,31 +60,22 @@ func main() {
 	for hi, h := range c.Hosts {
 		ep := h.Endpoint()
 		famID := c.FAMs[hi%len(c.FAMs)].ID()
-		var pump func()
-		inflight, sent := 0, 0
-		pump = func() {
-			for inflight < *window && sent < *ops {
-				inflight++
-				sent++
-				start := c.Eng.Now()
-				pkt := &flit.Packet{Chan: flit.ChIO, Dst: famID,
-					Addr: uint64(sent) * 64}
-				if *reads {
-					pkt.Op = flit.OpIORd
-					pkt.ReqLen = uint32(*size)
-				} else {
-					pkt.Op = flit.OpIOWr
-					pkt.Size = uint32(*size)
-				}
-				ep.Request(pkt).OnComplete(func(*flit.Packet, error) {
-					lat.ObserveTime(c.Eng.Now() - start)
-					inflight--
-					done++
-					pump()
-				})
+		exp.ClosedLoop(c.Eng, *window, *ops, func(i int, next func()) {
+			start := c.Eng.Now()
+			pkt := &flit.Packet{Chan: flit.ChIO, Dst: famID, Addr: uint64(i) * 64}
+			if *reads {
+				pkt.Op = flit.OpIORd
+				pkt.ReqLen = uint32(*size)
+			} else {
+				pkt.Op = flit.OpIOWr
+				pkt.Size = uint32(*size)
 			}
-		}
-		c.Eng.After(0, pump)
+			ep.Request(pkt).OnComplete(func(*flit.Packet, error) {
+				lat.ObserveTime(c.Eng.Now() - start)
+				done++
+				next()
+			})
+		})
 	}
 	c.Run()
 

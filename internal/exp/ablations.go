@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"fcc"
 	"fcc/internal/arbiter"
@@ -258,18 +259,16 @@ func ArbiterAblation() ArbiterResult {
 			panic(err)
 		}
 		famID := c.FAMs[0].ID()
-		done := 0
+		bulk := 0
 		for i := 1; i < 4; i++ {
 			w := c.Hosts[i].Endpoint()
 			cl := c.ArbiterClient(c.Hosts[i])
-			var pump func()
-			inflight, sent := 0, 0
-			issue := func() {
-				send := func(fin func()) {
-					w.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
-						Dst: famID, Size: 512}).OnComplete(func(*flit.Packet, error) { fin() })
-				}
-				fin := func() { inflight--; done++; pump() }
+			send := func(fin func()) {
+				w.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
+					Dst: famID, Size: 512}).OnComplete(func(*flit.Packet, error) { fin() })
+			}
+			ClosedLoop(c.Eng, 32, 400, func(_ int, done func()) {
+				fin := func() { bulk++; done() }
 				if !useArb {
 					send(fin)
 					return
@@ -279,15 +278,7 @@ func ArbiterAblation() ArbiterResult {
 						cl.Reclaim(famID, 512).OnComplete(func(*flit.Packet, error) { fin() })
 					})
 				})
-			}
-			pump = func() {
-				for inflight < 32 && sent < 400 {
-					inflight++
-					sent++
-					issue()
-				}
-			}
-			c.Eng.After(0, pump)
+			})
 		}
 		lat := sim.NewHistogram()
 		rd := c.Hosts[0].Endpoint()
@@ -301,7 +292,7 @@ func ArbiterAblation() ArbiterResult {
 			}
 		})
 		c.Run()
-		return lat.Quantile(0.99), float64(done) / c.Eng.Now().Seconds() / 1e6
+		return lat.Quantile(0.99), float64(bulk) / c.Eng.Now().Seconds() / 1e6
 	}
 	lfP99, lfBulk := run(false)
 	arbP99, arbBulk := run(true)
@@ -361,20 +352,13 @@ func CFCAblation() []CFCRow {
 		al.Start()
 		var hDone, lDone int
 		drive := func(ep *txn.Endpoint, dst *txn.Endpoint, window int, count *int) {
-			var pump func()
-			inflight := 0
-			pump = func() {
-				for inflight < window {
-					inflight++
-					ep.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
-						Dst: dst.ID(), Size: 512}).OnComplete(func(*flit.Packet, error) {
-						inflight--
-						*count++
-						pump()
-					})
-				}
-			}
-			eng.After(0, pump)
+			ClosedLoop(eng, window, math.MaxInt, func(_ int, done func()) {
+				ep.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
+					Dst: dst.ID(), Size: 512}).OnComplete(func(*flit.Packet, error) {
+					*count++
+					done()
+				})
+			})
 		}
 		drive(heavy, hDev, 32, &hDone)
 		drive(light, lDev, 2, &lDone)

@@ -92,37 +92,6 @@ func blastTyped(err error) bool {
 		errors.Is(err, etrans.ErrExecutorFailed) || errors.Is(err, faa.ErrDeviceDown)
 }
 
-// blastAccount folds per-host outcomes and cluster counters into one
-// BlastVariant.
-func blastAccount(c *fcc.Cluster, issued, committed, typed []int) BlastVariant {
-	var v BlastVariant
-	v.Hosts = len(c.Hosts)
-	for hi, h := range c.Hosts {
-		v.Issued += issued[hi]
-		v.Committed += committed[hi]
-		v.TypedErrors += typed[hi]
-		ep := h.Endpoint()
-		v.Retries += ep.Retries.Value()
-		v.Timeouts += ep.Timeouts.Value()
-		switch {
-		case typed[hi] > 0:
-			v.SeveredHosts++
-		case ep.Retries.Value() > 0 || ep.Timeouts.Value() > 0:
-			v.DegradedHosts++
-		default:
-			v.CleanHosts++
-		}
-	}
-	v.Unaccounted = v.Issued - v.Committed - v.TypedErrors
-	for _, sw := range c.Builder.Switches() {
-		v.PktsDropped += sw.PktsDropped.Value() + sw.NoRoute.Value()
-	}
-	if c.Manager != nil {
-		v.Reroutes = c.Manager.Reroutes.Value()
-	}
-	return v
-}
-
 // blastCluster builds the ring topology every blast run uses: 4 switches
 // closed into a ring with hosts and devices spread across them, so each
 // switch is one failure domain and every cross-ring flow has two
@@ -162,44 +131,10 @@ func blastSwitchKill(seed uint64, withMgr bool) (BlastVariant, string, float64, 
 		panic(err)
 	}
 
-	const opsPerHost = 150
-	n := len(c.Hosts)
-	issued := make([]int, n)
-	committed := make([]int, n)
-	typed := make([]int, n)
-	done := 0
-	for hi, h := range c.Hosts {
-		hi, h := hi, h
-		ep := h.Endpoint()
-		target := c.FAMs[(hi%4+2)%4].ID()
-		c.Go(h.Name(), func(p *sim.Proc) {
-			for op := 0; op < opsPerHost; op++ {
-				pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: target,
-					Addr: uint64(hi)<<16 + uint64(op%256)*64, ReqLen: 64}
-				if op%3 == 2 {
-					pkt.Op, pkt.ReqLen, pkt.Size = flit.OpMemWr, 0, 64
-				}
-				issued[hi]++
-				_, err := ep.RequestRetry(pkt, 3, 20*sim.Microsecond).Await(p)
-				switch {
-				case err == nil:
-					committed[hi]++
-				case blastTyped(err):
-					typed[hi]++
-				default:
-					panic(fmt.Sprintf("blast: untyped failure: %v", err))
-				}
-				p.Sleep(500 * sim.Nanosecond)
-			}
-			done++
-			if done == n && c.Manager != nil {
-				c.Manager.Stop()
-			}
-		})
-	}
+	t := hostStreams(c, seed, 150, blastStream(c), stopManager(c, len(c.Hosts)))
 	c.Run()
 
-	v := blastAccount(c, issued, committed, typed)
+	v := t.account(c)
 	var p50, max float64
 	if c.Manager != nil && c.Manager.TimeToReroute.Count() > 0 {
 		p50 = c.Manager.TimeToReroute.Quantile(0.50) / 1e3
@@ -257,62 +192,21 @@ func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []b
 		})
 	}
 
-	const opsPerHost = 120
-	n := len(c.Hosts)
-	issued := make([]int, n)
-	committed := make([]int, n)
-	typed := make([]int, n)
-	procs := n + 2 // memory streams + etrans stream + FAA stream
-	done := 0
-	finish := func() {
-		done++
-		if done == procs {
-			c.Manager.Stop()
-		}
-	}
-	account := func(hi int, err error) {
-		switch {
-		case err == nil:
-			committed[hi]++
-		case blastTyped(err):
-			typed[hi]++
-		default:
-			panic(fmt.Sprintf("blast: untyped failure: %v", err))
-		}
-	}
-
-	for hi, h := range c.Hosts {
-		hi, h := hi, h
-		ep := h.Endpoint()
-		target := c.FAMs[(hi%4+2)%4].ID()
-		c.Go(h.Name(), func(p *sim.Proc) {
-			for op := 0; op < opsPerHost; op++ {
-				pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: target,
-					Addr: uint64(hi)<<16 + uint64(op%256)*64, ReqLen: 64}
-				if op%3 == 2 {
-					pkt.Op, pkt.ReqLen, pkt.Size = flit.OpMemWr, 0, 64
-				}
-				issued[hi]++
-				_, err := ep.RequestRetry(pkt, 3, 20*sim.Microsecond).Await(p)
-				account(hi, err)
-				p.Sleep(500 * sim.Nanosecond)
-			}
-			finish()
-		})
-	}
+	finish := stopManager(c, len(c.Hosts)+2) // memory streams + etrans stream + FAA stream
+	t := hostStreams(c, seed, 120, blastStream(c), finish)
 
 	// host0: inline elastic transactions against the doomed FAM.
 	et := c.NewETrans(c.Hosts[0])
 	c.Go("blast-etrans", func(p *sim.Proc) {
 		p.Sleep(100 * sim.Microsecond)
 		for i := 0; i < 6; i++ {
-			issued[0]++
+			t.issued[0]++
 			_, err := et.Submit(&etrans.Request{
 				Src:       []etrans.Segment{{Port: c.FAMs[famIdx].ID(), Addr: 1 << 12, Size: 256}},
 				Dst:       []etrans.Segment{{Port: c.FAMs[(famIdx+1)%4].ID(), Addr: 1 << 12, Size: 256}},
 				Immediate: true,
 			}).Await(p)
-			account(0, err)
+			t.count(0, err)
 			p.Sleep(50 * sim.Microsecond)
 		}
 		finish()
@@ -323,9 +217,9 @@ func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []b
 		ep := c.Hosts[1].Endpoint()
 		p.Sleep(80 * sim.Microsecond)
 		for i := 0; i < 8; i++ {
-			issued[1]++
+			t.issued[1]++
 			_, err := faa.InvokeP(p, ep, c.FAAs[0].ID(), 1, 0, []byte{byte(i)})
-			account(1, err)
+			t.count(1, err)
 			p.Sleep(40 * sim.Microsecond)
 		}
 		finish()
@@ -333,7 +227,7 @@ func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []b
 
 	c.Run()
 
-	v := blastAccount(c, issued, committed, typed)
+	v := t.account(c)
 	snap := c.Stats().Snapshot()
 	raw, err := snap.MarshalJSONIndent()
 	if err != nil {

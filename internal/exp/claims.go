@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"fcc"
@@ -88,19 +89,10 @@ func ClaimContention() ContentionResult {
 		// Background contenders: continuous windowed 64B writes.
 		for i := 1; i < writers; i++ {
 			ep := c.Hosts[i].Endpoint()
-			var pump func()
-			inflight := 0
-			pump = func() {
-				for inflight < 8 {
-					inflight++
-					ep.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
-						Dst: famID, Size: 64}).OnComplete(func(*flit.Packet, error) {
-						inflight--
-						pump()
-					})
-				}
-			}
-			c.Eng.After(0, pump)
+			ClosedLoop(c.Eng, 8, math.MaxInt, func(_ int, done func()) {
+				ep.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
+					Dst: famID, Size: 64}).OnComplete(func(*flit.Packet, error) { done() })
+			})
 		}
 		// Probe: measure mean request->device arrival (approximated by
 		// half the ack RTT minus device time; we report RTT/2 deltas,
@@ -164,18 +156,9 @@ func ClaimInterleave() InterleaveResult {
 		}
 		if bulk {
 			// 16KB logical writes: 32 x 512B segmented packets, windowed.
-			var pump func()
-			inflight := 0
-			pump = func() {
-				for inflight < 8 {
-					inflight++
-					hostEp.BulkWrite(dev.ID(), 0x100000, 16384).OnComplete(func(int, error) {
-						inflight--
-						pump()
-					})
-				}
-			}
-			eng.After(0, pump)
+			ClosedLoop(eng, 8, math.MaxInt, func(_ int, done func()) {
+				hostEp.BulkWrite(dev.ID(), 0x100000, 16384).OnComplete(func(int, error) { done() })
+			})
 		}
 		lat := sim.NewHistogram()
 		// The small requests ride CXL.mem (separate VC) by protocol; to
@@ -246,20 +229,12 @@ func ClaimSwitch() SwitchResult {
 	var moved int
 	var t0 sim.Time
 	// Windowed 16KB bulk writes keep the wire full.
-	var pump func()
-	inflight, sent := 0, 0
-	pump = func() {
-		for inflight < 8 && sent < 200 {
-			inflight++
-			sent++
-			ep.BulkWrite(famID, uint64(sent)*16384, 16384).OnComplete(func(int, error) {
-				inflight--
-				moved += 16384
-				pump()
-			})
-		}
-	}
-	c.Eng.After(0, pump)
+	ClosedLoop(c.Eng, 8, 200, func(i int, done func()) {
+		ep.BulkWrite(famID, uint64(i)*16384, 16384).OnComplete(func(int, error) {
+			moved += 16384
+			done()
+		})
+	})
 	c.Run()
 	return SwitchResult{
 		TransitNs: sw.Transit.Mean(),

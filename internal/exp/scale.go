@@ -5,34 +5,86 @@ import (
 
 	"fcc"
 	"fcc/internal/fabric"
-	"fcc/internal/flit"
+	"fcc/internal/fault"
+	"fcc/internal/link"
 	"fcc/internal/sim"
 )
 
-// E13: datacenter-scale boot and routing. The topology generator
-// (fabric.Generate) builds fat-trees and dragonflies of hundreds of
-// endpoints; this file defines the workloads the scale sweep runs on
-// them — steady-state traffic (serial vs sharded, byte-equivalent), and
+// E10, E12 and E13 scale the fabric out. The same cluster, seed and
+// workload must produce a byte-identical stats snapshot whether the
+// simulation runs on one engine or partitioned across failure-domain
+// shards (conservative PDES, see internal/sim.Coordinator and DESIGN.md
+// "Parallel execution"). This file defines the scenarios (E10's rings,
+// E12's pods, E13's generated fat-trees and dragonfly) and what they
+// run: steady-state traffic (serial vs sharded, byte-equivalent), and
 // a correlated failure storm driven by fabric.StormPlan with the
 // manager routing around each wave (incremental vs full recompute,
 // byte-equivalent). Wall-clock timing of boot, route repair, and
 // events/sec lives in cmd/fccbench — this package stays deterministic.
 
-// ScaleConfig shapes one datacenter-scale workload.
+// ScaleConfig shapes one scale-out scenario.
 type ScaleConfig struct {
 	Name string
 	Spec fabric.TopoSpec
-	// Hosts and FAMs attach round-robin across the generated edge tier.
+	// Hosts and FAMs attach round-robin across the edge tier.
 	Hosts int
 	FAMs  int
-	// OpsPerHost memory operations stream from every host; all but
-	// every LocalEvery-th target the host's near FAM, the rest the FAM
-	// halfway across the ID space (cross-fabric traffic). LocalEvery ≤ 1
-	// sends every operation far.
+	// OpsPerHost memory operations stream from every host (see
+	// scaleStream); all but every LocalEvery-th target the host's near
+	// FAM, the rest the FAM halfway across the ID space (cross-fabric
+	// traffic). LocalEvery ≤ 1 sends every operation far.
 	OpsPerHost int
 	LocalEvery int
 	// Shards is the shard count the fccbench sweep times against serial.
 	Shards int
+	// Propagation, when set, is every link's propagation, endpoint
+	// links included, in place of link.DefaultConfig's. It is also the
+	// coordinator's lookahead window, so longer wires mean fewer
+	// barriers per simulated second.
+	Propagation sim.Time
+	// Faults schedules chainPlan, which needs a chain of 4 or more
+	// switches closed into a ring.
+	Faults bool
+}
+
+// ScaleRingConfig is E10's equivalence scenario on the same 4-switch
+// ring the blast-radius experiments use: one switch per failure domain,
+// every operation crossing at least one shard cut.
+func ScaleRingConfig() ScaleConfig {
+	return ScaleConfig{
+		Name:  "ring-4sw",
+		Spec:  fabric.TopoSpec{Kind: fabric.TopoChain, Groups: 4, Pods: 1},
+		Hosts: 8, FAMs: 4, OpsPerHost: 100,
+	}
+}
+
+// ScaleWideConfig is E10's speedup scenario: a wider ring with
+// cross-row-class optics (1 µs propagation, ~200 m of fiber), so each
+// lookahead window holds enough per-domain work to amortize the
+// barrier.
+func ScaleWideConfig() ScaleConfig {
+	return ScaleConfig{
+		Name:  "ring-8sw-1us",
+		Spec:  fabric.TopoSpec{Kind: fabric.TopoChain, Groups: 8, Pods: 1},
+		Hosts: 64, FAMs: 8, OpsPerHost: 400,
+		Propagation: sim.Microsecond,
+	}
+}
+
+// ScalePodsConfig is E12's rack-scale scenario: 8 pods of 2 switches
+// joined into a pod ring by 1 µs long-haul optics, 64 hosts, one FAM
+// per switch. Shard cuts land on pod boundaries, so the discovered
+// lookahead between adjacent shards is the long-haul propagation. 7 of
+// 8 operations stay pod-local and the rest cross the pod ring, so
+// shards have real work per window and the cut traffic that keeps the
+// equivalence check honest.
+func ScalePodsConfig() ScaleConfig {
+	return ScaleConfig{
+		Name: "pods-8x2",
+		Spec: fabric.TopoSpec{Kind: fabric.TopoChain, Groups: 8, Pods: 2,
+			LongHaulConfig: wire(sim.Microsecond)},
+		Hosts: 64, FAMs: 16, OpsPerHost: 200, LocalEvery: 8,
+	}
 }
 
 // ScaleScenarios is the E13 sweep: three generated fabrics from rack
@@ -68,12 +120,24 @@ func ScaleStormConfig() ScaleConfig {
 	}
 }
 
+// wire is link.DefaultConfig with the given propagation.
+func wire(prop sim.Time) func() link.Config {
+	return func() link.Config {
+		lc := link.DefaultConfig()
+		lc.Phys.Propagation = prop
+		return lc
+	}
+}
+
 // ScaleBuild constructs (and discovers) the cluster for cfg — the unit
 // fccbench's boot-time measurement wraps a wall clock around.
 func ScaleBuild(cfg ScaleConfig, shards int) *fcc.Cluster {
 	return scaleCluster(cfg, shards, false, false)
 }
 
+// scaleCluster builds cfg's cluster. shards <= 1 builds the serial,
+// one-shard cluster; the topology, seeds, and every device config are
+// identical either way — only the engine partitioning differs.
 func scaleCluster(cfg ScaleConfig, shards int, manager, fullRecompute bool) *fcc.Cluster {
 	spec := cfg.Spec
 	fcfg := fcc.Config{
@@ -81,6 +145,9 @@ func scaleCluster(cfg ScaleConfig, shards int, manager, fullRecompute bool) *fcc
 		Topology: &spec,
 		Shards:   shards,
 		Manager:  manager,
+	}
+	if cfg.Propagation > 0 {
+		fcfg.LinkConfig = wire(cfg.Propagation)
 	}
 	if manager {
 		fcfg.ManagerConfig = func() fabric.ManagerConfig {
@@ -99,46 +166,20 @@ func scaleCluster(cfg ScaleConfig, shards int, manager, fullRecompute bool) *fcc
 	return c
 }
 
-// scaleWorkload starts the steady-state streams: every host issues ops
-// requests (see streamOp), prime-staggered so no two hosts tick in
-// lockstep, on its own engine. committed[hi] counts host hi's successes.
-func scaleWorkload(c *fcc.Cluster, seed uint64, ops, localEvery int) (committed []int) {
-	committed = make([]int, len(c.Hosts))
-	for hi, h := range c.Hosts {
-		hi, h := hi, h
-		ep := h.Endpoint()
-		rng := sim.NewRNG(seed).Fork(uint64(hi))
-		h.Engine().Go(h.Name(), func(p *sim.Proc) {
-			p.Sleep(sim.Time(1 + hi*7919)) // prime-staggered start, in ps
-			for op := 0; op < ops; op++ {
-				pkt := streamOp(c, hi, op, localEvery, rng)
-				if _, err := ep.RequestRetry(pkt, 3, 20*sim.Microsecond).Await(p); err == nil {
-					committed[hi]++
-				}
-				p.Sleep(sim.Time(200+rng.Intn(800)) * sim.Nanosecond)
-			}
-		})
+// chainPlan is the deterministic fault plan on a ring of n switches:
+// flap the ISL between the first two failure domains (for any shard
+// count >= 2 of a ring of 4 or more, fs(n/2-1)<->fs(n/2) is a cut link)
+// and degrade the ring-closure ISL. Every event is pinned to a virtual
+// timestamp, so serial and sharded runs see identical fault timing.
+func chainPlan(n int) []fcc.FaultEvent {
+	cut := fmt.Sprintf("fs%d<->fs%d", n/2-1, n/2)
+	closure := fmt.Sprintf("fs%d<->fs0", n-1)
+	return []fcc.FaultEvent{
+		{At: 40 * sim.Microsecond, Link: cut, Fault: fault.Fault{Kind: fault.LinkDown}},
+		{At: 100 * sim.Microsecond, Link: cut, Fault: fault.Fault{Kind: fault.LinkDown}, Heal: true},
+		{At: 60 * sim.Microsecond, Link: closure, Fault: fault.Fault{Kind: fault.LaneDegrade, Factor: 4}},
+		{At: 160 * sim.Microsecond, Link: closure, Fault: fault.Fault{Kind: fault.LaneDegrade}, Heal: true},
 	}
-	return committed
-}
-
-// streamOp is host hi's op-th streamed request: a 64 B read, every third
-// one a write, of a random line in the host's near FAM (the one on its
-// own switch when FAMs are spread like hosts) or, for every
-// localEvery-th op and for all of them when localEvery ≤ 1, in the FAM
-// halfway across the ID space.
-func streamOp(c *fcc.Cluster, hi, op, localEvery int, rng *sim.RNG) *flit.Packet {
-	n := len(c.FAMs)
-	fam := (hi + n/2) % n
-	if localEvery > 1 && op%localEvery != localEvery-1 {
-		fam = hi % n
-	}
-	pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: c.FAMs[fam].ID(),
-		Addr: uint64(rng.Intn(1<<16)) * 64, ReqLen: 64}
-	if op%3 == 2 {
-		pkt.Op, pkt.ReqLen, pkt.Size = flit.OpMemWr, 0, 64
-	}
-	return pkt
 }
 
 // clusterEvents totals the simulator events fired across every engine —
@@ -151,22 +192,24 @@ func clusterEvents(c *fcc.Cluster) uint64 {
 	return n
 }
 
-// ScaleRun executes the steady-state workload on cfg's generated
-// topology at the given shard count and returns the marshalled stats
-// snapshot (the serial-vs-sharded equivalence witness), the committed
-// operation count, and the total simulator events fired.
-func ScaleRun(seed uint64, shards int, cfg ScaleConfig) (raw []byte, committed int, events uint64) {
+// ScaleRun executes cfg's steady-state streams at the given shard count
+// and returns the marshalled stats snapshot (the serial-vs-sharded
+// equivalence witness), the streams' accounting, and the total
+// simulator events fired.
+func ScaleRun(seed uint64, shards int, cfg ScaleConfig) (raw []byte, v BlastVariant, events uint64) {
 	c := scaleCluster(cfg, shards, false, false)
-	done := scaleWorkload(c, seed, cfg.OpsPerHost, cfg.LocalEvery)
-	c.Run()
-	for _, d := range done {
-		committed += d
+	if cfg.Faults {
+		if err := c.SchedulePlan(chainPlan(len(c.Builder.Switches()))); err != nil {
+			panic(err)
+		}
 	}
+	t := hostStreams(c, seed, cfg.OpsPerHost, scaleStream(c, cfg.LocalEvery), nil)
+	c.Run()
 	raw, err := c.Stats().Snapshot().MarshalJSONIndent()
 	if err != nil {
 		panic(err)
 	}
-	return raw, committed, clusterEvents(c)
+	return raw, t.account(c), clusterEvents(c)
 }
 
 // ScaleStormResult is one storm run: full blast-radius accounting, the
@@ -200,41 +243,11 @@ func ScaleStorm(seed uint64, cfg ScaleConfig, full bool) ScaleStormResult {
 		panic(err)
 	}
 
-	n := len(c.Hosts)
-	issued := make([]int, n)
-	committed := make([]int, n)
-	typed := make([]int, n)
-	done := 0
-	for hi, h := range c.Hosts {
-		hi, h := hi, h
-		ep := h.Endpoint()
-		rng := sim.NewRNG(seed).Fork(uint64(hi))
-		c.Go(h.Name(), func(p *sim.Proc) {
-			p.Sleep(sim.Time(1 + hi*7919))
-			for op := 0; op < cfg.OpsPerHost; op++ {
-				pkt := streamOp(c, hi, op, cfg.LocalEvery, rng)
-				issued[hi]++
-				_, err := ep.RequestRetry(pkt, 3, 20*sim.Microsecond).Await(p)
-				switch {
-				case err == nil:
-					committed[hi]++
-				case blastTyped(err):
-					typed[hi]++
-				default:
-					panic(fmt.Sprintf("scale storm: untyped failure: %v", err))
-				}
-				p.Sleep(sim.Time(200+rng.Intn(800)) * sim.Nanosecond)
-			}
-			done++
-			if done == n {
-				c.Manager.Stop()
-			}
-		})
-	}
+	t := hostStreams(c, seed, cfg.OpsPerHost, scaleStream(c, cfg.LocalEvery), stopManager(c, len(c.Hosts)))
 	c.Run()
 
 	r := ScaleStormResult{
-		Variant:     blastAccount(c, issued, committed, typed),
+		Variant:     t.account(c),
 		Unreachable: c.Manager.Unreachable(),
 		Events:      clusterEvents(c),
 	}
@@ -257,7 +270,7 @@ func ScaleStorm(seed uint64, cfg ScaleConfig, full bool) ScaleStormResult {
 func ScaleTraffic(seed uint64, cfg ScaleConfig) string {
 	c := scaleCluster(cfg, 1, false, false)
 	tm := c.CollectTraffic()
-	scaleWorkload(c, seed, cfg.OpsPerHost, cfg.LocalEvery)
+	hostStreams(c, seed, cfg.OpsPerHost, scaleStream(c, cfg.LocalEvery), nil)
 	c.Run()
 	return tm.RenderHeatmap()
 }

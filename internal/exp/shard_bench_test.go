@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkCoordinatorScaling measures wall-clock scaling of the
-// multi-pod workload (ShardScaleConfig, E12) across shard counts —
+// multi-pod workload (ScalePodsConfig, E12) across shard counts —
 // the number the barrier/lookahead overhaul exists to move. Each
 // iteration is one complete run: build the 8-pod cluster, stream the
 // host workload, drain.
@@ -18,14 +18,14 @@ import (
 // with GOMAXPROCS > 1 the shards genuinely overlap and the ratio is
 // real speedup.
 func BenchmarkCoordinatorScaling(b *testing.B) {
-	cfg := ShardScaleConfig()
+	cfg := ScalePodsConfig()
 	cfg.OpsPerHost = 12 // bench-smoke runs 100 iterations; keep a run light
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			committed := 0
 			for i := 0; i < b.N; i++ {
-				_, c := ShardRun(1, shards, cfg)
-				committed = c
+				_, v, _ := ScaleRun(1, shards, cfg)
+				committed = v.Committed
 			}
 			if committed == 0 {
 				b.Fatal("workload committed nothing")
