@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke fccperf-smoke fuzz-smoke loc
+.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv fccbench-smoke shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke fccperf-smoke fuzz-smoke loc
 
 # ci is the tier-1 gate: build, vet, the invariant lint pass, the full
 # suite under the race detector, the sharded-equivalence crown jewel
-# under -race, a smoke run of every example binary, and the end-to-end
-# benchmark's own tests (fccperf-smoke). Run it before
+# under -race, fccbench's own verdicts on every experiment
+# (fccbench-smoke), a smoke run of every example binary, and the
+# end-to-end benchmark's own tests (fccperf-smoke). Run it before
 # every push. bench-smoke and fuzz-smoke ride along non-gating (the
 # leading `-`): a crash in a benchmark or a new fuzz finding prints
 # loudly but does not fail the gate, since timing noise and time-boxed
 # searches must never block a merge.
-ci: build vet lint race shard-equiv fabstore-equiv examples-smoke fccperf-smoke
+ci: build vet lint race shard-equiv fabstore-equiv fccbench-smoke examples-smoke fccperf-smoke
 	-@$(MAKE) --no-print-directory bench-smoke || echo "bench-smoke FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory fuzz-smoke || echo "fuzz-smoke FAILED (non-gating)"
 	-@$(MAKE) --no-print-directory shard-speedup || echo "shard-speedup FAILED (non-gating)"
@@ -66,6 +67,19 @@ shard-equiv:
 # race detector, like shard-equiv.
 fabstore-equiv:
 	$(GO) test -race -count=1 -run 'TestFabStoreEquiv' ./internal/exp/
+
+# fccbench-smoke runs every experiment twice and gates on fccbench's own
+# verdicts: the two -json documents must be byte-identical, and neither
+# may hold a false. Every boolean in the document is a verdict (match,
+# ring_match, ring_fault_match, fault_match, shard_match, deterministic,
+# verified, AllCorrect, RecoveredOK), so a false is a failed check.
+fccbench-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/fccbench -exp all -json "$$dir/a.json" > /dev/null && \
+	$(GO) run ./cmd/fccbench -exp all -json "$$dir/b.json" > /dev/null && \
+	cmp "$$dir/a.json" "$$dir/b.json" && \
+	if grep -nw false "$$dir/a.json" "$$dir/b.json"; then \
+		echo "fccbench-smoke: a verdict above is false"; exit 1; fi
 
 # bench runs every benchmark in the tree and records the perf
 # trajectory as BENCH_<date>.json (events/sec, ns/op, allocs/op — see
