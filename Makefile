@@ -145,14 +145,16 @@ fccperf-smoke:
 # examples-smoke builds and runs every example end to end, then the two
 # cmd tools that build clusters through fcc.New (fabtop with a traced
 # read across three switches, fabsim at its defaults); each is a short
-# deterministic simulation, so a non-zero exit is a real break.
+# deterministic simulation, so a non-zero exit is a real break. Each
+# runs twice, and the two stdouts must be byte-identical (cmp), as
+# fccbench-smoke requires of fccbench's documents.
 examples-smoke:
-	@for d in examples/*/; do \
-		echo "== $$d"; \
-		$(GO) run ./$$d > /dev/null || exit 1; \
-	done
-	@echo "== cmd/fabtop"; $(GO) run ./cmd/fabtop -trace -switches 3 -fams 3 > /dev/null
-	@echo "== cmd/fabsim"; $(GO) run ./cmd/fabsim > /dev/null
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	twice() { echo "== $$*"; $(GO) run "$$@" > "$$dir/a" && $(GO) run "$$@" > "$$dir/b" && \
+		cmp "$$dir/a" "$$dir/b"; } && \
+	for d in examples/*/; do twice ./$$d || exit 1; done && \
+	twice ./cmd/fabtop -trace -switches 3 -fams 3 && \
+	twice ./cmd/fabsim
 
 # loc prints the count of non-test Go lines outside cmd/fccperf (the
 # benchmark), testdata, .bench_build and .git: the size a simplification

@@ -420,7 +420,7 @@ func shardEquiv(seed uint64) (any, string) {
 	fmt.Fprintf(&b, "ring equivalence (4 switches, %d shards): clean %v, fault plan %v (%d ops committed)\n",
 		r.RingShards, r.RingMatch, r.RingFaultMatch, r.Committed)
 	fmt.Fprintf(&b, "wide ring speedup (%d switches, %d hosts, %v ISL propagation):\n",
-		wideCfg.Spec.Groups, wideCfg.Hosts, wideCfg.Propagation)
+		wideCfg.Cluster.Topology.Groups, wideCfg.Cluster.Hosts, wideCfg.Cluster.LinkConfig().Phys.Propagation)
 	renderSweep(&b, r.Wide)
 	return r, b.String()
 }
@@ -473,12 +473,13 @@ type shardSpeedupResult struct {
 // inline on every run.
 func shardSpeedup(seed uint64) (any, string) {
 	cfg := exp.ScalePodsConfig()
+	spec := cfg.Cluster.Topology
 	r := &shardSpeedupResult{Seed: seed, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	r.Runs, r.Committed = timedSweep(seed, cfg)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "multi-pod scaling (%d pods x %d switches, %d hosts, %v pod links, GOMAXPROCS=%d):\n",
-		cfg.Spec.Groups, cfg.Spec.Pods, cfg.Hosts, cfg.Spec.LongHaulConfig().Phys.Propagation, r.GoMaxProcs)
+		spec.Groups, spec.Pods, cfg.Cluster.Hosts, spec.LongHaulConfig().Phys.Propagation, r.GoMaxProcs)
 	renderSweep(&b, r.Runs)
 	if r.GoMaxProcs == 1 {
 		b.WriteString("  (single-P runtime: coordinator ran its sequential path; ratios measure\n" +

@@ -10,64 +10,23 @@
 //
 // The DSP is real: bits are convolutionally encoded, QPSK-modulated,
 // OFDM-transmitted through a synthetic multipath channel with AWGN, and
-// recovered bit-exactly at sane SNR.
+// recovered bit-exactly at sane SNR. The frames and the stage tasks are
+// experiment E7's (exp.MIMOFrame), so this run is E7's clean run with a
+// line per frame.
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
-	"math/cmplx"
 
 	"fcc"
 	"fcc/internal/dsp"
+	"fcc/internal/exp"
 	"fcc/internal/faa"
-	"fcc/internal/flit"
 	"fcc/internal/sim"
 	"fcc/internal/task"
 )
 
-const (
-	nSub     = 64        // OFDM subcarriers
-	infoBits = 62        // so coded bits = 2*(62+2) = 128 = 64 QPSK symbols
-	frameB   = nSub * 16 // one frame of complex128 as bytes
-	nFrames  = 8
-	snrDB    = 18.0
-)
-
-// --- byte marshalling for complex vectors stored in FAM ---
-
-func cplxToBytes(xs []complex128) []byte {
-	out := make([]byte, len(xs)*16)
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(out[i*16:], math.Float64bits(real(x)))
-		binary.LittleEndian.PutUint64(out[i*16+8:], math.Float64bits(imag(x)))
-	}
-	return out
-}
-
-func bytesToCplx(b []byte) []complex128 {
-	out := make([]complex128, len(b)/16)
-	for i := range out {
-		re := math.Float64frombits(binary.LittleEndian.Uint64(b[i*16:]))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(b[i*16+8:]))
-		out[i] = complex(re, im)
-	}
-	return out
-}
-
-// pilot is the known training symbol on every subcarrier.
-func pilot() []complex128 {
-	p := make([]complex128, nSub)
-	for i := range p {
-		if i%2 == 0 {
-			p[i] = 1
-		} else {
-			p[i] = -1
-		}
-	}
-	return p
-}
+const nFrames = 8
 
 func main() {
 	cluster, err := fcc.New(fcc.Config{
@@ -76,7 +35,6 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fam := cluster.FAMs[0]
 	runner := task.NewRunner(cluster.Eng, cluster.Hosts[0].Endpoint())
 	for _, d := range cluster.FAAs {
 		runner.AddEngine(faa.NewEngine(d))
@@ -88,43 +46,21 @@ func main() {
 
 	cluster.Go("baseband", func(p *sim.Proc) {
 		for frame := 0; frame < nFrames; frame++ {
-			// ---- transmitter + channel (the "radio" side) ----
-			info := make([]byte, infoBits)
-			for i := range info {
-				info[i] = byte(rng.Intn(2))
-			}
-			coded := dsp.ConvEncode(info)           // 128 bits
-			txSyms := dsp.Modulate(dsp.QPSK, coded) // 64 symbols
-			h := rayleigh(rng)                      // per-subcarrier channel
-
-			rxTime := transmit(txSyms, h, rng) // IFFT + channel + noise
-			pilotTime := transmit(pilot(), h, rng)
-
-			// Frame objects land in fabric-attached memory.
-			base := uint64(frame) * 0x10000
-			fam.DRAM().Store().Write(base+0x0000, cplxToBytes(rxTime))
-			fam.DRAM().Store().Write(base+0x1000, cplxToBytes(pilotTime))
-
-			// ---- UniFabric pipeline: three idempotent tasks on FAAs ----
-			start := p.Now()
-			runner.SubmitP(p, fftTask(fam.ID(), base))
-			runner.SubmitP(p, eqDemodTask(fam.ID(), base))
-			runner.SubmitP(p, decodeTask(fam.ID(), base))
-			frameLat.ObserveTime(p.Now() - start)
-
-			// ---- MAC side: collect decoded bits, count errors ----
-			got := make([]byte, infoBits)
-			fam.DRAM().Store().Read(base+0x5000, got)
-			errs := dsp.BitErrors(info, got)
-			totalBits += infoBits
+			// Frame objects land in fabric-attached memory; three
+			// idempotent tasks on the FAAs decode them; the MAC side
+			// collects the decoded bits and counts errors.
+			sent, got, lat := exp.MIMOFrame(p, runner, cluster.FAMs[0], uint64(frame)*0x10000, rng)
+			frameLat.ObserveTime(lat)
+			errs := dsp.BitErrors(sent, got)
+			totalBits += len(sent)
 			totalErrs += errs
-			fmt.Printf("frame %d: %2d bit errors (latency %v)\n", frame, errs, p.Now()-start)
+			fmt.Printf("frame %d: %2d bit errors (latency %v)\n", frame, errs, lat)
 		}
 	})
 	cluster.Run()
 
 	fmt.Printf("\n%d frames, %d info bits, BER = %.4f at %.0f dB SNR\n",
-		nFrames, totalBits, float64(totalErrs)/float64(totalBits), snrDB)
+		nFrames, totalBits, float64(totalErrs)/float64(totalBits), exp.MIMOSNRdB)
 	fmt.Printf("frame pipeline latency: mean %.1fus p99 %.1fus\n",
 		frameLat.Mean()/1000, frameLat.Quantile(0.99)/1000)
 	for _, d := range cluster.FAAs {
@@ -132,91 +68,5 @@ func main() {
 	}
 	if totalErrs > 0 {
 		fmt.Println("note: residual errors are channel noise the K=3 code could not absorb")
-	}
-}
-
-// rayleigh draws a mild per-subcarrier frequency-selective channel.
-func rayleigh(rng *sim.RNG) []complex128 {
-	h := make([]complex128, nSub)
-	for i := range h {
-		mag := 0.6 + 0.8*rng.Float64()
-		h[i] = cmplx.Rect(mag, 2*math.Pi*rng.Float64())
-	}
-	return h
-}
-
-// transmit OFDM-modulates freq-domain symbols through channel h and
-// returns noisy time-domain samples.
-func transmit(syms, h []complex128, rng *sim.RNG) []complex128 {
-	faded := make([]complex128, nSub)
-	for i := range syms {
-		faded[i] = syms[i] * h[i]
-	}
-	t := append([]complex128(nil), faded...)
-	dsp.IFFT(t)
-	// Noise is added in the time domain. The FFT at the receiver sums N
-	// noise samples per subcarrier, so hitting the target per-subcarrier
-	// SNR requires time-domain noise 10*log10(N) dB quieter.
-	return dsp.AWGN(t, snrDB+10*math.Log10(nSub), rng.Float64)
-}
-
-// fftTask: time-domain frame + pilot -> frequency domain.
-func fftTask(fam flit.PortID, base uint64) *task.Task {
-	return &task.Task{
-		Name: "fft",
-		Inputs: []task.Region{
-			{Port: fam, Addr: base + 0x0000, Size: frameB},
-			{Port: fam, Addr: base + 0x1000, Size: frameB},
-		},
-		Outputs: []task.Region{
-			{Port: fam, Addr: base + 0x2000, Size: frameB},
-			{Port: fam, Addr: base + 0x3000, Size: frameB},
-		},
-		Body: func(c *task.Ctx) error {
-			for i := 0; i < 2; i++ {
-				x := bytesToCplx(c.Input(i))
-				dsp.FFT(x) // FFT(IFFT(x)) == x with our normalization
-				copy(c.Output(i), cplxToBytes(x))
-			}
-			c.Compute(4 * sim.Microsecond) // two 64-point FFTs
-			return nil
-		},
-	}
-}
-
-// eqDemodTask: estimate channel from the pilot, zero-force, demodulate.
-func eqDemodTask(fam flit.PortID, base uint64) *task.Task {
-	return &task.Task{
-		Name: "eq-demod",
-		Inputs: []task.Region{
-			{Port: fam, Addr: base + 0x2000, Size: frameB},
-			{Port: fam, Addr: base + 0x3000, Size: frameB},
-		},
-		Outputs: []task.Region{{Port: fam, Addr: base + 0x4000, Size: 128}},
-		Body: func(c *task.Ctx) error {
-			data := bytesToCplx(c.Input(0))
-			rxPilot := bytesToCplx(c.Input(1))
-			h := dsp.EstimateChannel(rxPilot, pilot())
-			eq := dsp.Equalize(data, h)
-			bits := dsp.Demodulate(dsp.QPSK, eq)
-			copy(c.Output(0), bits)
-			c.Compute(3 * sim.Microsecond)
-			return nil
-		},
-	}
-}
-
-// decodeTask: Viterbi-decode the hard bits back to info bits.
-func decodeTask(fam flit.PortID, base uint64) *task.Task {
-	return &task.Task{
-		Name:    "viterbi",
-		Inputs:  []task.Region{{Port: fam, Addr: base + 0x4000, Size: 128}},
-		Outputs: []task.Region{{Port: fam, Addr: base + 0x5000, Size: infoBits}},
-		Body: func(c *task.Ctx) error {
-			decoded := dsp.ViterbiDecode(c.Input(0))
-			copy(c.Output(0), decoded)
-			c.Compute(5 * sim.Microsecond)
-			return nil
-		},
 	}
 }

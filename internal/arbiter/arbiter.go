@@ -27,8 +27,6 @@ import (
 type Config struct {
 	// DefaultWindow is the per-destination outstanding-bytes budget.
 	DefaultWindow uint64
-	// Windows overrides the budget for specific destinations.
-	Windows map[flit.PortID]uint64
 	// DecisionLat is the arbiter's processing time per request.
 	DecisionLat sim.Time
 	// AIMD enables dynamic per-destination windows: each epoch a
@@ -174,9 +172,6 @@ func (a *Arbiter) window(dst flit.PortID) uint64 {
 		if w, ok := a.dynWindow[dst]; ok {
 			return w
 		}
-	}
-	if w, ok := a.cfg.Windows[dst]; ok {
-		return w
 	}
 	return a.cfg.DefaultWindow
 }

@@ -315,35 +315,18 @@ type CFCRow struct {
 // light-flow contention pattern (Difference #3).
 func CFCAblation() []CFCRow {
 	run := func(scheme cfcpolicy.Scheme) CFCRow {
-		eng := sim.NewEngine()
-		b := fabric.NewBuilder(eng)
-		sw := b.AddSwitch("fs0", fabric.DefaultSwitchConfig())
 		lcfg := link.DefaultConfig()
 		lcfg.CreditReturnDelay = 200 * sim.Nanosecond
-		mk := func(name string, role fabric.Role) (*txn.Endpoint, int) {
-			att, err := b.AttachEndpoint(sw, name, role, lcfg)
-			if err != nil {
-				panic(err)
-			}
-			ep := txn.NewEndpoint(eng, att.ID, att.Port, 0)
-			att.Port.SetSink(ep)
-			return ep, att.SwitchPort
-		}
-		heavy, hp := mk("heavy", fabric.RoleHost)
-		light, lp := mk("light", fabric.RoleHost)
-		echo := func(ep *txn.Endpoint) {
-			ep.Handler = func(req *flit.Packet, reply func(*flit.Packet)) {
+		r := oneSwitch(lcfg, []string{"heavy", "light"}, []string{"famH", "famL"})
+		eng := r.coord.Engine(0)
+		heavy, light, hDev, lDev := r.eps[0], r.eps[1], r.eps[2], r.eps[3]
+		for _, dev := range []*txn.Endpoint{hDev, lDev} {
+			dev.Handler = func(req *flit.Packet, reply func(*flit.Packet)) {
 				reply(req.Response(flit.OpIOAck, 0))
 			}
 		}
-		hDev, _ := mk("famH", fabric.RoleFAM)
-		lDev, _ := mk("famL", fabric.RoleFAM)
-		echo(hDev)
-		echo(lDev)
-		if err := b.Discover(); err != nil {
-			panic(err)
-		}
-		al, err := cfcpolicy.NewAllocator(eng, sw, []int{hp, lp}, cfcpolicy.AllocatorConfig{
+		// ports[:2] are the heavy and light hosts' switch ports.
+		al, err := cfcpolicy.NewAllocator(eng, r.sw, r.ports[:2], cfcpolicy.AllocatorConfig{
 			Scheme: scheme, VC: flit.ChIO, TotalFlits: 64, Epoch: sim.Microsecond,
 		})
 		if err != nil {
@@ -364,7 +347,7 @@ func CFCAblation() []CFCRow {
 		drive(light, lDev, 2, &lDone)
 		var h0, l0 int
 		eng.At(100*sim.Microsecond, func() { h0, l0 = hDone, lDone })
-		eng.RunUntil(400 * sim.Microsecond)
+		r.coord.RunUntil(400 * sim.Microsecond)
 		h, l := float64(hDone-h0), float64(lDone-l0)
 		return CFCRow{
 			Scheme:       scheme.String(),

@@ -66,7 +66,7 @@ func drainedShapes(t *testing.T) []drainedShape {
 	return []drainedShape{
 		{"fabstore-ring-faults", func() *fcc.Cluster {
 			c, st := fabStoreCluster(1, true)
-			if err := c.SchedulePlan(fabStorePlan()); err != nil {
+			if err := c.SchedulePlan(chainPlan(4)); err != nil {
 				t.Fatal(err)
 			}
 			fabStoreDrivers(c, st, 1, 400, fabStoreMixes()[0])

@@ -92,36 +92,24 @@ func blastTyped(err error) bool {
 		errors.Is(err, etrans.ErrExecutorFailed) || errors.Is(err, faa.ErrDeviceDown)
 }
 
-// blastCluster builds the ring topology every blast run uses: 4 switches
-// closed into a ring with hosts and devices spread across them, so each
-// switch is one failure domain and every cross-ring flow has two
-// equal-cost directions to route around a loss.
-func blastCluster(hosts, faas int, withMgr bool) *fcc.Cluster {
-	c, err := fcc.New(fcc.Config{
-		Hosts: hosts, FAMs: 4, FAAs: faas, FAMCapacity: 1 << 22,
-		Switches: 4, Ring: true, SpreadHosts: true, Manager: withMgr,
-		SwitchConfig: func() fabric.SwitchConfig {
-			sc := fabric.DefaultSwitchConfig()
-			sc.Adaptive = true
-			return sc
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	for _, h := range c.Hosts {
-		h.Endpoint().Timeout = 25 * sim.Microsecond
-	}
-	return c
+// adaptiveSwitch is E9's switch config: each switch sends a packet out
+// the least-loaded of its equal-cost ports, here the ring's two
+// directions.
+func adaptiveSwitch() fabric.SwitchConfig {
+	sc := fabric.DefaultSwitchConfig()
+	sc.Adaptive = true
+	return sc
 }
 
-// blastSwitchKill measures the blast radius of one crashed switch: 8
-// hosts each stream reads/writes to the FAM two hops across the ring
-// while a seeded victim switch dies for 300us. With the manager, only
+// blastSwitchKill measures the blast radius of one crashed switch on
+// E10's ring: its 8 hosts each stream reads/writes to the FAM two hops
+// across the ring while a seeded victim switch dies for 300us. With the manager, only
 // endpoints inside the dead failure domain are affected; without it,
 // transit flows through the victim stall until the hardware heals.
 func blastSwitchKill(seed uint64, withMgr bool) (BlastVariant, string, float64, float64) {
-	c := blastCluster(8, 0, withMgr)
+	cfg := ScaleRingConfig().Cluster
+	cfg.SwitchConfig, cfg.Manager = adaptiveSwitch, withMgr
+	c := newCluster(cfg)
 	inj := c.NewInjector(seed)
 	rng := sim.NewRNG(seed).Fork(0xb1a)
 	victim := c.Builder.Switches()[rng.Intn(4)].Name()
@@ -151,7 +139,10 @@ func blastSwitchKill(seed uint64, withMgr bool) (BlastVariant, string, float64, 
 // returned snapshot bytes are the determinism witness; the drained
 // cluster comes last, for audits of its books.
 func blastFullPlan(seed uint64) (BlastVariant, []string, *sim.StatsSnapshot, []byte, *fcc.Cluster) {
-	c := blastCluster(6, 2, true)
+	cfg := ScaleRingConfig().Cluster
+	cfg.Hosts, cfg.FAAs = 6, 2
+	cfg.SwitchConfig, cfg.Manager = adaptiveSwitch, true
+	c := newCluster(cfg)
 	inj := c.NewInjector(seed)
 	rng := sim.NewRNG(seed).Fork(0xb1a57)
 	isls := c.Builder.ISLLinks()

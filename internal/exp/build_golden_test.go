@@ -305,3 +305,31 @@ func TestBuildGolden(t *testing.T) {
 		check(gc.name, gc.digest())
 	}
 }
+
+// TestRingShorthandBuildsChain checks that fcc.Config's ring shorthand
+// (Switches, Ring, SpreadHosts) builds the same cluster as the chain of
+// one-switch groups that ScaleRingConfig names: the same shapeDigest
+// for rings of 3 to 6 switches on 1 to 3 shards, with FAAs attached and,
+// on one shard, the arbiter too. cmd/fccperf's ring stays on the
+// shorthand, so this is what keeps it the topology E9, E10 and E11 run.
+func TestRingShorthandBuildsChain(t *testing.T) {
+	build := func(cfg fcc.Config) string {
+		c, err := fcc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shapeDigest(c)
+	}
+	for n := 3; n <= 6; n++ {
+		for shards := 1; shards <= 3; shards++ {
+			base := fcc.Config{Hosts: 2 * n, FAMs: n, FAAs: 2, FAMCapacity: 1 << 22,
+				Shards: shards, Arbiter: shards == 1}
+			ring, chain := base, base
+			ring.Switches, ring.Ring, ring.SpreadHosts = n, true, true
+			chain.Topology = &fabric.TopoSpec{Kind: fabric.TopoChain, Groups: n, Pods: 1}
+			if got, want := build(ring), build(chain); got != want {
+				t.Errorf("%d switches, %d shards: the ring shorthand builds %s, the chain %s", n, shards, got, want)
+			}
+		}
+	}
+}

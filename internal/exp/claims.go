@@ -40,19 +40,19 @@ func ClaimMLP() []MLPRow {
 		}
 		h := c.Hosts[0]
 		base := c.FAMBase(0)
-		done := 0
-		var t0 sim.Time
+		loaded := 0
 		n := 100 * m
-		c.Eng.After(0, func() {
-			t0 = c.Eng.Now()
-			for i := 0; i < n; i++ {
-				h.Load64(base + uint64(i)*64).OnComplete(func(uint64, error) { done++ })
-			}
+		// All n loads at once: the MSHRs, not the window, bound them.
+		ClosedLoop(c.Eng, n, n, func(i int, done func()) {
+			h.Load64(base + uint64(i-1)*64).OnComplete(func(uint64, error) {
+				loaded++
+				done()
+			})
 		})
 		c.Run()
 		rows = append(rows, MLPRow{
 			MSHRs: float64(m),
-			MOPS:  float64(done) / (c.Eng.Now() - t0).Seconds() / 1e6,
+			MOPS:  float64(loaded) / c.Eng.Now().Seconds() / 1e6,
 		})
 	}
 	return rows
@@ -120,6 +120,43 @@ func ClaimContention() ContentionResult {
 
 const time500 = 500 * sim.Nanosecond
 
+// rig is the bare fabric C3 and E5 measure: one switch on a one-shard
+// coordinator, as every cluster runs, with raw transaction endpoints
+// and no host or device model behind them.
+type rig struct {
+	coord *sim.Coordinator
+	sw    *fabric.Switch
+	eps   []*txn.Endpoint
+	ports []int // each endpoint's switch port
+}
+
+// oneSwitch builds a rig of switch fs0 with one endpoint per name,
+// hosts first and then devices, each on an lcfg link, and discovers
+// it.
+func oneSwitch(lcfg link.Config, hosts, devs []string) *rig {
+	coord := sim.NewCoordinator(1, max(lcfg.Phys.Propagation, 1))
+	b := fabric.NewShardedBuilder(coord, 1)
+	r := &rig{coord: coord, sw: b.AddSwitch("fs0", fabric.DefaultSwitchConfig())}
+	attach := func(names []string, role fabric.Role) {
+		for _, name := range names {
+			att, err := b.AttachEndpoint(r.sw, name, role, lcfg)
+			if err != nil {
+				panic(err)
+			}
+			ep := txn.NewEndpoint(att.Eng, att.ID, att.Port, 0)
+			att.Port.SetSink(ep)
+			r.eps = append(r.eps, ep)
+			r.ports = append(r.ports, att.SwitchPort)
+		}
+	}
+	attach(hosts, fabric.RoleHost)
+	attach(devs, fabric.RoleFAM)
+	if err := b.Discover(); err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // InterleaveResult is C3: small-request latency under bulk interference.
 type InterleaveResult struct {
 	AloneNs         float64 // 64B writes, idle fabric
@@ -132,28 +169,10 @@ type InterleaveResult struct {
 // shows the FCC-style mitigation (dedicated VC with its own credits).
 func ClaimInterleave() InterleaveResult {
 	run := func(bulk bool, sharedPool bool) float64 {
-		eng := sim.NewEngine()
-		b := fabric.NewBuilder(eng)
-		sw := b.AddSwitch("fs0", fabric.DefaultSwitchConfig())
 		lcfg := link.DefaultConfig()
 		lcfg.SharedCreditPool = sharedPool
-		mk := func(name string, role fabric.Role) *txn.Endpoint {
-			att, err := b.AttachEndpoint(sw, name, role, lcfg)
-			if err != nil {
-				panic(err)
-			}
-			ep := txn.NewEndpoint(eng, att.ID, att.Port, 0)
-			att.Port.SetSink(ep)
-			return ep
-		}
-		hostEp := mk("host", fabric.RoleHost)
-		dev := mk("fam", fabric.RoleFAM)
-		dev.Handler = func(req *flit.Packet, reply func(*flit.Packet)) {
-			reply(req.Response(flit.OpIOAck, 0))
-		}
-		if err := b.Discover(); err != nil {
-			panic(err)
-		}
+		r := oneSwitch(lcfg, []string{"host"}, []string{"fam"})
+		eng, hostEp, dev := r.coord.Engine(0), r.eps[0], r.eps[1]
 		if bulk {
 			// 16KB logical writes: 32 x 512B segmented packets, windowed.
 			ClosedLoop(eng, 8, math.MaxInt, func(_ int, done func()) {
@@ -189,7 +208,7 @@ func ClaimInterleave() InterleaveResult {
 			}
 			eng.Stop()
 		})
-		eng.Run()
+		r.coord.Run()
 		return lat.Mean()
 	}
 	return InterleaveResult{
@@ -227,7 +246,6 @@ func ClaimSwitch() SwitchResult {
 	ep := c.Hosts[0].Endpoint()
 	famID := c.FAMs[0].ID()
 	var moved int
-	var t0 sim.Time
 	// Windowed 16KB bulk writes keep the wire full.
 	ClosedLoop(c.Eng, 8, 200, func(i int, done func()) {
 		ep.BulkWrite(famID, uint64(i)*16384, 16384).OnComplete(func(int, error) {
@@ -238,7 +256,7 @@ func ClaimSwitch() SwitchResult {
 	c.Run()
 	return SwitchResult{
 		TransitNs: sw.Transit.Mean(),
-		GBps:      float64(moved) / (c.Eng.Now() - t0).Seconds() / 1e9,
+		GBps:      float64(moved) / c.Eng.Now().Seconds() / 1e9,
 	}
 }
 

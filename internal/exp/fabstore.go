@@ -8,8 +8,6 @@ import (
 	"fcc"
 	"fcc/internal/fabstore"
 	"fcc/internal/fabstore/workload"
-	"fcc/internal/fault"
-	"fcc/internal/link"
 	"fcc/internal/sim"
 )
 
@@ -73,27 +71,16 @@ func fabStoreConfig(services bool) fabstore.Config {
 	return cfg
 }
 
-// fabStoreCluster builds the E11 ring: 8 hosts spread over 4 switches,
-// one FAM shard per switch. services attaches the coherence directories
-// and the central arbiter (forbidden on sharded clusters, so the
-// equivalence runs go without and the table runs go with).
+// fabStoreCluster builds E11's cluster on E10's ring: 8 hosts spread
+// over 4 switches, one FAM shard per switch. services attaches the
+// coherence directories and the central arbiter (forbidden on sharded
+// clusters, so the equivalence runs go without and the table runs go
+// with).
 func fabStoreCluster(shards int, services bool) (*fcc.Cluster, *fabstore.Store) {
-	c, err := fcc.New(fcc.Config{
-		Hosts: 8, FAMs: 4, FAMCapacity: 1 << 22,
-		Switches: 4, Ring: true, SpreadHosts: true,
-		Shards:   shards,
-		Coherent: services, Arbiter: services,
-		LinkConfig: func() link.Config {
-			lc := link.DefaultConfig()
-			p := lc.Phys
-			p.Propagation = 10 * sim.Nanosecond
-			lc.Phys = p
-			return lc
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
+	cfg := ScaleRingConfig().Cluster
+	cfg.Shards = shards
+	cfg.Coherent, cfg.Arbiter = services, services
+	c := newCluster(cfg)
 	// Timeout deadlines get a per-host prime offset off the round 25µs so
 	// a response can never land at exactly its request's deadline — the
 	// timeout race is tie-SENSITIVE, and serial vs sharded runs may
@@ -107,18 +94,6 @@ func fabStoreCluster(shards int, services bool) (*fcc.Cluster, *fabstore.Store) 
 		panic(err)
 	}
 	return c, st
-}
-
-// fabStorePlan is the deterministic E11 fault plan on the 4-switch
-// ring: flap the fs1<->fs2 ISL and degrade the ring-closure ISL, both
-// inside the measurement window.
-func fabStorePlan() []fcc.FaultEvent {
-	return []fcc.FaultEvent{
-		{At: 40 * sim.Microsecond, Link: "fs1<->fs2", Fault: fault.Fault{Kind: fault.LinkDown}},
-		{At: 100 * sim.Microsecond, Link: "fs1<->fs2", Fault: fault.Fault{Kind: fault.LinkDown}, Heal: true},
-		{At: 60 * sim.Microsecond, Link: "fs3<->fs0", Fault: fault.Fault{Kind: fault.LaneDegrade, Factor: 4}},
-		{At: 160 * sim.Microsecond, Link: "fs3<->fs0", Fault: fault.Fault{Kind: fault.LaneDegrade}, Heal: true},
-	}
 }
 
 // fabStoreDrivers starts one generator per host. Each driver's stream
@@ -152,7 +127,7 @@ func FabStoreMixes(seed uint64, faults bool) []FabStoreMixRow {
 	for _, fm := range fabStoreMixes() {
 		c, st := fabStoreCluster(1, true)
 		if faults {
-			if err := c.SchedulePlan(fabStorePlan()); err != nil {
+			if err := c.SchedulePlan(chainPlan(4)); err != nil {
 				panic(err)
 			}
 		}
@@ -300,7 +275,7 @@ func intentRecordSize(st *fabstore.Store) uint64 {
 func FabStoreEquiv(seed uint64, shards int, faults bool) (raw []byte, committed int64) {
 	c, st := fabStoreCluster(shards, false)
 	if faults {
-		if err := c.SchedulePlan(fabStorePlan()); err != nil {
+		if err := c.SchedulePlan(chainPlan(4)); err != nil {
 			panic(err)
 		}
 	}

@@ -8,16 +8,19 @@ import (
 	"fcc"
 	"fcc/internal/dsp"
 	"fcc/internal/flit"
+	"fcc/internal/mem"
 	"fcc/internal/sim"
 	"fcc/internal/task"
 )
 
-// The E7 pipeline parameters (mirrors examples/mimo).
+// The E7 pipeline parameters, shared with examples/mimo through
+// MIMOFrame.
 const (
 	mimoSub   = 64
 	mimoInfo  = 62 // 2*(62+2) coded bits = 128 = 64 QPSK symbols
 	mimoFrame = mimoSub * 16
-	mimoSNR   = 18.0
+	// MIMOSNRdB is the channel's per-subcarrier signal-to-noise ratio.
+	MIMOSNRdB = 18.0
 )
 
 func mimoC2B(xs []complex128) []byte {
@@ -39,6 +42,7 @@ func mimoB2C(b []byte) []complex128 {
 	return out
 }
 
+// mimoPilot is the known training symbol on every subcarrier.
 func mimoPilot() []complex128 {
 	p := make([]complex128, mimoSub)
 	for i := range p {
@@ -51,47 +55,60 @@ func mimoPilot() []complex128 {
 	return p
 }
 
+// MIMOFrame runs one uplink frame of the §5 case study. The radio side
+// draws 62 info bits and a mild frequency-selective channel from rng,
+// convolutionally encodes and QPSK-modulates the bits, OFDM-transmits
+// them and a pilot through the channel with AWGN, and writes both
+// received sample frames into fam at base. The three idempotent stage
+// tasks (FFT, equalise/demodulate, Viterbi) then run on runner's
+// engines, reading and writing fam. It returns the bits sent, the bits
+// decoded and the pipeline's latency.
+func MIMOFrame(p *sim.Proc, runner *task.Runner, fam *mem.FAM, base uint64, rng *sim.RNG) (sent, got []byte, lat sim.Time) {
+	sent = make([]byte, mimoInfo)
+	for i := range sent {
+		sent[i] = byte(rng.Intn(2))
+	}
+	txSyms := dsp.Modulate(dsp.QPSK, dsp.ConvEncode(sent))
+	h := make([]complex128, mimoSub)
+	for i := range h {
+		h[i] = cmplx.Rect(0.6+0.8*rng.Float64(), 2*math.Pi*rng.Float64())
+	}
+	tx := func(syms []complex128) []complex128 {
+		t := make([]complex128, mimoSub)
+		for i := range syms {
+			t[i] = syms[i] * h[i]
+		}
+		dsp.IFFT(t)
+		// The receiver's FFT sums N noise samples per subcarrier, so
+		// the time-domain noise is 10*log10(N) dB quieter than the
+		// per-subcarrier target.
+		return dsp.AWGN(t, MIMOSNRdB+10*math.Log10(mimoSub), rng.Float64)
+	}
+	fam.DRAM().Store().Write(base, mimoC2B(tx(txSyms)))
+	fam.DRAM().Store().Write(base+0x1000, mimoC2B(tx(mimoPilot())))
+
+	start := p.Now()
+	runner.SubmitP(p, mimoFFTTask(fam.ID(), base))
+	runner.SubmitP(p, mimoEqTask(fam.ID(), base))
+	runner.SubmitP(p, mimoDecodeTask(fam.ID(), base))
+	lat = p.Now() - start
+
+	got = make([]byte, mimoInfo)
+	fam.DRAM().Store().Read(base+0x5000, got)
+	return sent, got, lat
+}
+
 // runMIMO drives the three-stage pipeline for the given frame count.
 func runMIMO(c *fcc.Cluster, runner *task.Runner, frames int) MIMOResult {
-	fam := c.FAMs[0]
 	rng := sim.NewRNG(2026)
 	totalBits, totalErrs := 0, 0
 	frameLat := sim.NewHistogram()
 	c.Go("baseband", func(p *sim.Proc) {
 		for frame := 0; frame < frames; frame++ {
-			info := make([]byte, mimoInfo)
-			for i := range info {
-				info[i] = byte(rng.Intn(2))
-			}
-			coded := dsp.ConvEncode(info)
-			txSyms := dsp.Modulate(dsp.QPSK, coded)
-			h := make([]complex128, mimoSub)
-			for i := range h {
-				h[i] = cmplx.Rect(0.6+0.8*rng.Float64(), 2*math.Pi*rng.Float64())
-			}
-			tx := func(syms []complex128) []complex128 {
-				faded := make([]complex128, mimoSub)
-				for i := range syms {
-					faded[i] = syms[i] * h[i]
-				}
-				t := append([]complex128(nil), faded...)
-				dsp.IFFT(t)
-				return dsp.AWGN(t, mimoSNR+10*math.Log10(mimoSub), rng.Float64)
-			}
-			base := uint64(frame%16) * 0x10000
-			fam.DRAM().Store().Write(base, mimoC2B(tx(txSyms)))
-			fam.DRAM().Store().Write(base+0x1000, mimoC2B(tx(mimoPilot())))
-
-			start := p.Now()
-			runner.SubmitP(p, mimoFFTTask(fam.ID(), base))
-			runner.SubmitP(p, mimoEqTask(fam.ID(), base))
-			runner.SubmitP(p, mimoDecodeTask(fam.ID(), base))
-			frameLat.ObserveTime(p.Now() - start)
-
-			got := make([]byte, mimoInfo)
-			fam.DRAM().Store().Read(base+0x5000, got)
-			totalBits += mimoInfo
-			totalErrs += dsp.BitErrors(info, got)
+			sent, got, lat := MIMOFrame(p, runner, c.FAMs[0], uint64(frame%16)*0x10000, rng)
+			frameLat.ObserveTime(lat)
+			totalBits += len(sent)
+			totalErrs += dsp.BitErrors(sent, got)
 		}
 	})
 	c.Run()
@@ -103,6 +120,8 @@ func runMIMO(c *fcc.Cluster, runner *task.Runner, frames int) MIMOResult {
 	}
 }
 
+// mimoFFTTask takes the time-domain frame and pilot to the frequency
+// domain: two 64-point FFTs.
 func mimoFFTTask(fam flit.PortID, base uint64) *task.Task {
 	return &task.Task{
 		Name: "fft",
@@ -117,7 +136,7 @@ func mimoFFTTask(fam flit.PortID, base uint64) *task.Task {
 		Body: func(c *task.Ctx) error {
 			for i := 0; i < 2; i++ {
 				x := mimoB2C(c.Input(i))
-				dsp.FFT(x)
+				dsp.FFT(x) // FFT(IFFT(x)) == x with dsp's normalization
 				copy(c.Output(i), mimoC2B(x))
 			}
 			c.Compute(4 * sim.Microsecond)
@@ -127,6 +146,8 @@ func mimoFFTTask(fam flit.PortID, base uint64) *task.Task {
 	}
 }
 
+// mimoEqTask estimates the channel from the pilot, zero-forces the
+// frame and demodulates it to hard bits.
 func mimoEqTask(fam flit.PortID, base uint64) *task.Task {
 	return &task.Task{
 		Name: "eq-demod",
@@ -148,6 +169,7 @@ func mimoEqTask(fam flit.PortID, base uint64) *task.Task {
 	}
 }
 
+// mimoDecodeTask Viterbi-decodes the hard bits back to info bits.
 func mimoDecodeTask(fam flit.PortID, base uint64) *task.Task {
 	return &task.Task{
 		Name:    "viterbi",

@@ -25,10 +25,13 @@ import (
 // ScaleConfig shapes one scale-out scenario.
 type ScaleConfig struct {
 	Name string
-	Spec fabric.TopoSpec
-	// Hosts and FAMs attach round-robin across the edge tier.
-	Hosts int
-	FAMs  int
+	// Cluster is the topology, the host and FAM counts, and any link or
+	// service settings. Hosts and FAMs attach round-robin across the
+	// edge tier. The runs here set FAMCapacity, Shards and the manager
+	// themselves (see newCluster). A LinkConfig propagation is also the
+	// coordinator's lookahead window, so longer wires mean fewer
+	// barriers per simulated second.
+	Cluster fcc.Config
 	// OpsPerHost memory operations stream from every host (see
 	// scaleStream); all but every LocalEvery-th target the host's near
 	// FAM, the rest the FAM halfway across the ID space (cross-fabric
@@ -37,37 +40,36 @@ type ScaleConfig struct {
 	LocalEvery int
 	// Shards is the shard count the fccbench sweep times against serial.
 	Shards int
-	// Propagation, when set, is every link's propagation, endpoint
-	// links included, in place of link.DefaultConfig's. It is also the
-	// coordinator's lookahead window, so longer wires mean fewer
-	// barriers per simulated second.
-	Propagation sim.Time
 	// Faults schedules chainPlan, which needs a chain of 4 or more
 	// switches closed into a ring.
 	Faults bool
 }
 
-// ScaleRingConfig is E10's equivalence scenario on the same 4-switch
-// ring the blast-radius experiments use: one switch per failure domain,
-// every operation crossing at least one shard cut.
+// ScaleRingConfig is E10's equivalence scenario on the 4-switch ring
+// that E9 and E11 run on too: one switch per failure domain, closed so
+// that every cross-ring flow has two equal-cost directions to route
+// around a loss, with hosts and one FAM per switch spread across it.
+// Every operation crosses at least one shard cut.
 func ScaleRingConfig() ScaleConfig {
 	return ScaleConfig{
-		Name:  "ring-4sw",
-		Spec:  fabric.TopoSpec{Kind: fabric.TopoChain, Groups: 4, Pods: 1},
-		Hosts: 8, FAMs: 4, OpsPerHost: 100,
+		Name: "ring-4sw",
+		Cluster: fcc.Config{Hosts: 8, FAMs: 4,
+			Topology: &fabric.TopoSpec{Kind: fabric.TopoChain, Groups: 4, Pods: 1}},
+		OpsPerHost: 100,
 	}
 }
 
 // ScaleWideConfig is E10's speedup scenario: a wider ring with
-// cross-row-class optics (1 µs propagation, ~200 m of fiber), so each
-// lookahead window holds enough per-domain work to amortize the
-// barrier.
+// cross-row-class optics (1 µs propagation, ~200 m of fiber, endpoint
+// links included), so each lookahead window holds enough per-domain
+// work to amortize the barrier.
 func ScaleWideConfig() ScaleConfig {
 	return ScaleConfig{
-		Name:  "ring-8sw-1us",
-		Spec:  fabric.TopoSpec{Kind: fabric.TopoChain, Groups: 8, Pods: 1},
-		Hosts: 64, FAMs: 8, OpsPerHost: 400,
-		Propagation: sim.Microsecond,
+		Name: "ring-8sw-1us",
+		Cluster: fcc.Config{Hosts: 64, FAMs: 8,
+			Topology:   &fabric.TopoSpec{Kind: fabric.TopoChain, Groups: 8, Pods: 1},
+			LinkConfig: wire(sim.Microsecond)},
+		OpsPerHost: 400,
 	}
 }
 
@@ -81,9 +83,10 @@ func ScaleWideConfig() ScaleConfig {
 func ScalePodsConfig() ScaleConfig {
 	return ScaleConfig{
 		Name: "pods-8x2",
-		Spec: fabric.TopoSpec{Kind: fabric.TopoChain, Groups: 8, Pods: 2,
-			LongHaulConfig: wire(sim.Microsecond)},
-		Hosts: 64, FAMs: 16, OpsPerHost: 200, LocalEvery: 8,
+		Cluster: fcc.Config{Hosts: 64, FAMs: 16,
+			Topology: &fabric.TopoSpec{Kind: fabric.TopoChain, Groups: 8, Pods: 2,
+				LongHaulConfig: wire(sim.Microsecond)}},
+		OpsPerHost: 200, LocalEvery: 8,
 	}
 }
 
@@ -92,19 +95,22 @@ func ScalePodsConfig() ScaleConfig {
 func ScaleScenarios() []ScaleConfig {
 	return []ScaleConfig{
 		{
-			Name:  "fat-tree-16sw",
-			Spec:  fabric.TopoSpec{Kind: fabric.TopoFatTree, Tiers: 3, Radix: 4, Pods: 3},
-			Hosts: 24, FAMs: 12, OpsPerHost: 40, LocalEvery: 4, Shards: 4,
+			Name: "fat-tree-16sw",
+			Cluster: fcc.Config{Hosts: 24, FAMs: 12,
+				Topology: &fabric.TopoSpec{Kind: fabric.TopoFatTree, Tiers: 3, Radix: 4, Pods: 3}},
+			OpsPerHost: 40, LocalEvery: 4, Shards: 4,
 		},
 		{
-			Name:  "dragonfly-72sw",
-			Spec:  fabric.TopoSpec{Kind: fabric.TopoDragonfly, Radix: 16, Pods: 8, Groups: 9},
-			Hosts: 144, FAMs: 72, OpsPerHost: 15, LocalEvery: 4, Shards: 8,
+			Name: "dragonfly-72sw",
+			Cluster: fcc.Config{Hosts: 144, FAMs: 72,
+				Topology: &fabric.TopoSpec{Kind: fabric.TopoDragonfly, Radix: 16, Pods: 8, Groups: 9}},
+			OpsPerHost: 15, LocalEvery: 4, Shards: 8,
 		},
 		{
-			Name:  "fat-tree-64sw",
-			Spec:  fabric.TopoSpec{Kind: fabric.TopoFatTree, Tiers: 3, Radix: 8, Pods: 6},
-			Hosts: 448, FAMs: 64, OpsPerHost: 10, LocalEvery: 4, Shards: 8,
+			Name: "fat-tree-64sw",
+			Cluster: fcc.Config{Hosts: 448, FAMs: 64,
+				Topology: &fabric.TopoSpec{Kind: fabric.TopoFatTree, Tiers: 3, Radix: 8, Pods: 6}},
+			OpsPerHost: 10, LocalEvery: 4, Shards: 8,
 		},
 	}
 }
@@ -113,11 +119,9 @@ func ScaleScenarios() []ScaleConfig {
 // fat-tree with pod 0 dying in staggered waves while the manager
 // repairs around each loss.
 func ScaleStormConfig() ScaleConfig {
-	return ScaleConfig{
-		Name:  "fat-tree-16sw",
-		Spec:  fabric.TopoSpec{Kind: fabric.TopoFatTree, Tiers: 3, Radix: 4, Pods: 3},
-		Hosts: 24, FAMs: 12, OpsPerHost: 200, LocalEvery: 4,
-	}
+	cfg := ScaleScenarios()[0]
+	cfg.OpsPerHost = 200
+	return cfg
 }
 
 // wire is link.DefaultConfig with the given propagation.
@@ -129,34 +133,23 @@ func wire(prop sim.Time) func() link.Config {
 	}
 }
 
-// ScaleBuild constructs (and discovers) the cluster for cfg — the unit
-// fccbench's boot-time measurement wraps a wall clock around.
+// ScaleBuild constructs (and discovers) cfg's cluster on the given
+// number of shards — the unit fccbench's boot-time measurement wraps a
+// wall clock around. shards <= 1 builds the serial, one-shard cluster;
+// the topology, seeds, and every device config are identical either
+// way — only the engine partitioning differs.
 func ScaleBuild(cfg ScaleConfig, shards int) *fcc.Cluster {
-	return scaleCluster(cfg, shards, false, false)
+	cc := cfg.Cluster
+	cc.Shards = shards
+	return newCluster(cc)
 }
 
-// scaleCluster builds cfg's cluster. shards <= 1 builds the serial,
-// one-shard cluster; the topology, seeds, and every device config are
-// identical either way — only the engine partitioning differs.
-func scaleCluster(cfg ScaleConfig, shards int, manager, fullRecompute bool) *fcc.Cluster {
-	spec := cfg.Spec
-	fcfg := fcc.Config{
-		Hosts: cfg.Hosts, FAMs: cfg.FAMs, FAMCapacity: 1 << 22,
-		Topology: &spec,
-		Shards:   shards,
-		Manager:  manager,
-	}
-	if cfg.Propagation > 0 {
-		fcfg.LinkConfig = wire(cfg.Propagation)
-	}
-	if manager {
-		fcfg.ManagerConfig = func() fabric.ManagerConfig {
-			mc := fabric.DefaultManagerConfig()
-			mc.FullRecompute = fullRecompute
-			return mc
-		}
-	}
-	c, err := fcc.New(fcfg)
+// newCluster builds cfg with 4 MiB FAMs and a 25 µs timeout on every
+// host endpoint: the cluster of every scale-out and blast-radius run
+// and of E11's tables and equivalence runs.
+func newCluster(cfg fcc.Config) *fcc.Cluster {
+	cfg.FAMCapacity = 1 << 22
+	c, err := fcc.New(cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -197,7 +190,7 @@ func clusterEvents(c *fcc.Cluster) uint64 {
 // equivalence witness), the streams' accounting, and the total
 // simulator events fired.
 func ScaleRun(seed uint64, shards int, cfg ScaleConfig) (raw []byte, v BlastVariant, events uint64) {
-	c := scaleCluster(cfg, shards, false, false)
+	c := ScaleBuild(cfg, shards)
 	if cfg.Faults {
 		if err := c.SchedulePlan(chainPlan(len(c.Builder.Switches()))); err != nil {
 			panic(err)
@@ -234,7 +227,14 @@ type ScaleStormResult struct {
 // incrementally or (full=true) with full recomputes. The two modes
 // must produce byte-identical snapshots; only RepairCounts differs.
 func ScaleStorm(seed uint64, cfg ScaleConfig, full bool) ScaleStormResult {
-	c := scaleCluster(cfg, 1, true, full)
+	cc := cfg.Cluster
+	cc.Manager = true
+	cc.ManagerConfig = func() fabric.ManagerConfig {
+		mc := fabric.DefaultManagerConfig()
+		mc.FullRecompute = full
+		return mc
+	}
+	c := newCluster(cc)
 	inj := c.NewInjector(seed)
 	victims := c.Topo.PodSwitches(0)
 	plan := fabric.StormPlan(c.Builder, "pod0-storm", victims,
@@ -268,7 +268,7 @@ func ScaleStorm(seed uint64, cfg ScaleConfig, full bool) ScaleStormResult {
 // the "unexplored rack/cluster-scale traffic matrix" of Principle #1,
 // at datacenter scale.
 func ScaleTraffic(seed uint64, cfg ScaleConfig) string {
-	c := scaleCluster(cfg, 1, false, false)
+	c := ScaleBuild(cfg, 1)
 	tm := c.CollectTraffic()
 	hostStreams(c, seed, cfg.OpsPerHost, scaleStream(c, cfg.LocalEvery), nil)
 	c.Run()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"fcc"
 	"fcc/internal/fabric"
 )
 
@@ -78,9 +79,10 @@ func TestShardedScaleEquivalence(t *testing.T) {
 	for _, cfg := range []ScaleConfig{
 		ScaleScenarios()[0], // fat-tree-16sw
 		{
-			Name:  "dragonfly-20sw",
-			Spec:  fabric.TopoSpec{Kind: fabric.TopoDragonfly, Radix: 8, Pods: 4},
-			Hosts: 20, FAMs: 10, OpsPerHost: 30, LocalEvery: 4,
+			Name: "dragonfly-20sw",
+			Cluster: fcc.Config{Hosts: 20, FAMs: 10,
+				Topology: &fabric.TopoSpec{Kind: fabric.TopoDragonfly, Radix: 8, Pods: 4}},
+			OpsPerHost: 30, LocalEvery: 4,
 		},
 	} {
 		t.Run(cfg.Name, func(t *testing.T) {

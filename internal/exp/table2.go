@@ -159,7 +159,7 @@ func Table2() []Table2Row {
 		return float64(done) / (c.Eng.Now() - t0).Seconds() / 1e6
 	}
 	// L2: stream over a 256KB set (fits L2, floods L1), second pass.
-	l2 := func(write bool) float64 { return tpRange(write, 4096, true) }
+	l2 := func(write bool) float64 { return tp(write, false, 4096, true) }
 	rows[0].ReadMOPS = hot(false)
 	rows[0].WriteMOPS = hot(true)
 	rows[1].ReadMOPS = l2(false)
@@ -169,46 +169,6 @@ func Table2() []Table2Row {
 	rows[3].ReadMOPS = tp(false, true, 400, false)
 	rows[3].WriteMOPS = tp(true, true, 400, false)
 	return rows
-}
-
-// tpRange measures second-pass throughput over n lines in local memory.
-func tpRange(write bool, n int, twoPass bool) float64 {
-	c := mustCluster()
-	h := c.Hosts[0]
-	base := uint64(0x100000)
-	issue := func(i int, done func()) {
-		addr := base + uint64(i)*64
-		if write {
-			h.Store64(addr, uint64(i)).OnComplete(func(struct{}, error) { done() })
-		} else {
-			h.Load64(addr).OnComplete(func(uint64, error) { done() })
-		}
-	}
-	var t0 sim.Time
-	completed := 0
-	measure := func() {
-		t0 = c.Eng.Now()
-		for i := 0; i < n; i++ {
-			issue(i, func() { completed++ })
-		}
-	}
-	c.Eng.After(0, func() {
-		if !twoPass {
-			measure()
-			return
-		}
-		warm := 0
-		for i := 0; i < n; i++ {
-			issue(i, func() {
-				warm++
-				if warm == n {
-					measure()
-				}
-			})
-		}
-	})
-	c.Run()
-	return float64(completed) / (c.Eng.Now() - t0).Seconds() / 1e6
 }
 
 func mustCluster() *fcc.Cluster {

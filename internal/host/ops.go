@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"fcc/internal/flit"
+	"fcc/internal/link"
 	"fcc/internal/sim"
 )
 
@@ -163,8 +164,9 @@ func (h *Host) WriteBufP(p *sim.Proc, addr uint64, data []byte) {
 
 // FlushLine writes back the line containing addr if dirty and
 // invalidates it from both levels. The future resolves when any
-// writeback has reached its home. This is the software-coherence
-// primitive that non-CC-NUMA node types require (§3, Difference #2).
+// writeback has reached its home, and fails if the fabric lost it or
+// the device refused it. This is the software-coherence primitive that
+// non-CC-NUMA node types require (§3, Difference #2).
 func (h *Host) FlushLine(addr uint64) *sim.Future[struct{}] {
 	lineAddr := addr & LineMask
 	f := sim.NewFuture[struct{}]()
@@ -190,7 +192,9 @@ func (h *Host) FlushLine(addr uint64) *sim.Future[struct{}] {
 	req := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemWr, Dst: r.Port,
 		Addr: r.DevAddr(lineAddr), Size: LineSize, Data: append([]byte(nil), dirtyData[:]...)}
 	h.eng.After(h.cfg.FHALat, func() {
-		h.ep.Request(req).OnComplete(func(*flit.Packet, error) { f.Complete(struct{}{}) })
+		h.ep.Request(req).OnComplete(func(resp *flit.Packet, err error) {
+			settle(f, replyErr(resp, err, "flush", lineAddr))
+		})
 	})
 	return f
 }
@@ -221,10 +225,15 @@ func (h *Host) InvalidateRange(addr uint64, n uint64) {
 
 // FetchAdd performs a remote (or local) atomic fetch-add on the 8 bytes
 // at addr, bypassing the caches (the line is flushed first so the
-// atomic operates on the current value). Resolves to the prior value.
+// atomic operates on the current value). Resolves to the prior value,
+// or fails, without the atomic, if the flush fails.
 func (h *Host) FetchAdd(addr uint64, delta uint64) *sim.Future[uint64] {
 	f := sim.NewFuture[uint64]()
-	h.FlushLine(addr).OnComplete(func(struct{}, error) {
+	h.FlushLine(addr).OnComplete(func(_ struct{}, err error) {
+		if err != nil {
+			f.Fail(err)
+			return
+		}
 		r := h.amap.MustLookup(addr)
 		if r.Local {
 			h.dram.Atomic(addr, delta, func(prev uint64) { f.Complete(prev) })
@@ -263,7 +272,7 @@ func (h *Host) FetchAddP(p *sim.Proc, addr uint64, delta uint64) uint64 {
 // Lines that may be cached locally are NOT flushed; callers manage
 // coherence explicitly.
 func (h *Host) UncachedRead(addr uint64, n uint32) *sim.Future[[]byte] {
-	if n > maxUncached {
+	if n > link.MaxPacketPayload {
 		panic(fmt.Sprintf("host: UncachedRead of %d bytes; use UncachedReadBigP", n))
 	}
 	f := sim.NewFuture[[]byte]()
@@ -279,12 +288,8 @@ func (h *Host) UncachedRead(addr uint64, n uint32) *sim.Future[[]byte] {
 		Addr: r.DevAddr(addr), ReqLen: n}
 	h.eng.After(h.cfg.FHALat, func() {
 		h.ep.Request(req).OnComplete(func(resp *flit.Packet, err error) {
-			if err != nil {
+			if err := replyErr(resp, err, "uncached read", addr); err != nil {
 				f.Fail(err)
-				return
-			}
-			if resp.Op == flit.OpMemErr {
-				f.Fail(fmt.Errorf("host: uncached read of %#x poisoned", addr))
 				return
 			}
 			f.Complete(resp.Data)
@@ -294,9 +299,10 @@ func (h *Host) UncachedRead(addr uint64, n uint32) *sim.Future[[]byte] {
 }
 
 // UncachedWrite stores data (≤ one max packet payload) at addr
-// bypassing the caches.
+// bypassing the caches. It fails if the fabric lost the write or the
+// device refused it.
 func (h *Host) UncachedWrite(addr uint64, data []byte) *sim.Future[struct{}] {
-	if len(data) > maxUncached {
+	if len(data) > link.MaxPacketPayload {
 		panic(fmt.Sprintf("host: UncachedWrite of %d bytes; use UncachedWriteBigP", len(data)))
 	}
 	f := sim.NewFuture[struct{}]()
@@ -309,25 +315,37 @@ func (h *Host) UncachedWrite(addr uint64, data []byte) *sim.Future[struct{}] {
 		Addr: r.DevAddr(addr), Size: uint32(len(data)), Data: append([]byte(nil), data...)}
 	h.eng.After(h.cfg.FHALat, func() {
 		h.ep.Request(req).OnComplete(func(resp *flit.Packet, err error) {
-			if err != nil {
-				f.Fail(err)
-				return
-			}
-			f.Complete(struct{}{})
+			settle(f, replyErr(resp, err, "uncached write", addr))
 		})
 	})
 	return f
 }
 
-// maxUncached is the single-packet payload limit for uncached ops.
-const maxUncached = 512
+// replyErr is the error a request for op at addr ended with: the
+// transaction's own, or, when the device answered OpMemErr (a poisoned
+// line or a partition violation), one saying so.
+func replyErr(resp *flit.Packet, err error, op string, addr uint64) error {
+	if err == nil && resp.Op == flit.OpMemErr {
+		return fmt.Errorf("host: %s of %#x refused by the device", op, addr)
+	}
+	return err
+}
+
+// settle completes f, or fails it with err when there is one.
+func settle(f *sim.Future[struct{}], err error) {
+	if err != nil {
+		f.Fail(err)
+		return
+	}
+	f.Complete(struct{}{})
+}
 
 // UncachedReadBigP reads an arbitrary-size buffer uncached, in
 // max-payload chunks, blocking the calling process.
 func (h *Host) UncachedReadBigP(p *sim.Proc, addr uint64, n uint64) []byte {
 	out := make([]byte, 0, n)
 	for n > 0 {
-		c := uint64(maxUncached)
+		c := uint64(link.MaxPacketPayload)
 		if n < c {
 			c = n
 		}
@@ -343,7 +361,7 @@ func (h *Host) UncachedReadBigP(p *sim.Proc, addr uint64, n uint64) []byte {
 // max-payload chunks, blocking the calling process.
 func (h *Host) UncachedWriteBigP(p *sim.Proc, addr uint64, data []byte) {
 	for len(data) > 0 {
-		c := maxUncached
+		c := link.MaxPacketPayload
 		if len(data) < c {
 			c = len(data)
 		}

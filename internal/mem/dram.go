@@ -131,7 +131,7 @@ func occUnits(n int) int {
 func (d *DRAM) Read(addr uint64, dst []byte, done func()) {
 	d.Reads.Inc()
 	occ := sim.Time(occUnits(len(dst))) * d.cfg.ReadOcc
-	bankFree := d.rd[d.bankIdx(addr)].Use(occ, nil)
+	bankFree := d.rd[d.bankIdx(addr)].Use(occ)
 	finish := d.eng.Now() + d.cfg.ReadLat
 	if bankFree > finish {
 		finish = bankFree
@@ -146,7 +146,7 @@ func (d *DRAM) Read(addr uint64, dst []byte, done func()) {
 func (d *DRAM) Write(addr uint64, data []byte, done func()) {
 	d.Writes.Inc()
 	occ := sim.Time(occUnits(len(data))) * d.cfg.WriteOcc
-	bankFree := d.wr[d.bankIdx(addr)].Use(occ, nil)
+	bankFree := d.wr[d.bankIdx(addr)].Use(occ)
 	finish := d.eng.Now() + d.cfg.WriteLat
 	if bankFree > finish {
 		finish = bankFree
@@ -164,7 +164,7 @@ func (d *DRAM) Write(addr uint64, data []byte, done func()) {
 func (d *DRAM) Atomic(addr uint64, delta uint64, done func(prev uint64)) {
 	d.Writes.Inc()
 	occ := d.cfg.WriteOcc
-	bankFree := d.wr[d.bankIdx(addr)].Use(occ, nil)
+	bankFree := d.wr[d.bankIdx(addr)].Use(occ)
 	finish := d.eng.Now() + d.cfg.WriteLat
 	if bankFree > finish {
 		finish = bankFree

@@ -78,19 +78,15 @@ type Pipe struct {
 // NewPipe returns a pipe bound to eng.
 func NewPipe(eng *Engine) *Pipe { return &Pipe{eng: eng} }
 
-// Use occupies the pipe for hold starting no earlier than now, calling
-// done when the item's occupancy ends. It returns the completion time.
-func (p *Pipe) Use(hold Time, done func()) Time {
+// Use occupies the pipe for hold starting no earlier than now and
+// returns the time the item's occupancy ends.
+func (p *Pipe) Use(hold Time) Time {
 	start := p.eng.Now()
 	if p.busy > start {
 		start = p.busy
 	}
-	end := start + hold
-	p.busy = end
-	if done != nil {
-		p.eng.At(end, done)
-	}
-	return end
+	p.busy = start + hold
+	return p.busy
 }
 
 // Enter queues work on the pipe FIFO: start runs at the moment service

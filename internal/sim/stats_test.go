@@ -640,9 +640,7 @@ func TestPipeSerializes(t *testing.T) {
 	p := NewPipe(e)
 	var ends []Time
 	e.After(0, func() {
-		p.Use(10*Nanosecond, func() { ends = append(ends, e.Now()) })
-		p.Use(10*Nanosecond, func() { ends = append(ends, e.Now()) })
-		p.Use(5*Nanosecond, func() { ends = append(ends, e.Now()) })
+		ends = append(ends, p.Use(10*Nanosecond), p.Use(10*Nanosecond), p.Use(5*Nanosecond))
 	})
 	e.Run()
 	want := []Time{10 * Nanosecond, 20 * Nanosecond, 25 * Nanosecond}
@@ -657,9 +655,9 @@ func TestPipeIdleGap(t *testing.T) {
 	e := NewEngine()
 	p := NewPipe(e)
 	var end Time
-	e.After(0, func() { p.Use(10*Nanosecond, nil) })
+	e.After(0, func() { p.Use(10 * Nanosecond) })
 	e.At(100*Nanosecond, func() {
-		end = p.Use(10*Nanosecond, nil)
+		end = p.Use(10 * Nanosecond)
 	})
 	e.Run()
 	if end != 110*Nanosecond {

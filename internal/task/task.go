@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"fcc/internal/flit"
+	"fcc/internal/link"
 	"fcc/internal/sim"
 	"fcc/internal/txn"
 )
@@ -205,7 +206,7 @@ func (r *Runner) readRegion(p *sim.Proc, reg Region) []byte {
 	out := make([]byte, 0, reg.Size)
 	var off uint64
 	for off < reg.Size {
-		chunk := uint64(512)
+		chunk := uint64(link.MaxPacketPayload)
 		if rem := reg.Size - off; rem < chunk {
 			chunk = rem
 		}
@@ -220,7 +221,7 @@ func (r *Runner) readRegion(p *sim.Proc, reg Region) []byte {
 func (r *Runner) writeRegion(p *sim.Proc, reg Region, data []byte) {
 	var off uint64
 	for off < reg.Size {
-		chunk := uint64(512)
+		chunk := uint64(link.MaxPacketPayload)
 		if rem := reg.Size - off; rem < chunk {
 			chunk = rem
 		}
