@@ -143,9 +143,9 @@ func decodeDescriptor(data []byte) (*Request, error) {
 
 // ErrExecutorFailed reports a transaction whose executor (inline path or
 // delegated agent) could not move the data — a source or destination
-// device rejected or stopped answering mid-copy. Match with errors.Is;
-// the wrapped cause carries the failing segment and underlying error
-// (often txn.ErrTimeout or txn.ErrDeviceDown).
+// device refused or stopped answering mid-copy. Match with errors.Is.
+// It wraps the cause, a txn error that txn.Typed accepts: the inline
+// path's failing segment and its error, or the agent's refusal.
 var ErrExecutorFailed = errors.New("etrans: executor failed")
 
 // Result reports a completed transaction.
@@ -212,7 +212,7 @@ func (e *Engine) Submit(req *Request) *sim.Future[*Result] {
 		e.Inline.Inc()
 		e.eng.Go("etrans-inline", func(p *sim.Proc) {
 			if err := copySegments(p, e.ep, e.arb, req); err != nil {
-				f.Fail(fmt.Errorf("%w: %v", ErrExecutorFailed, err))
+				f.Fail(fmt.Errorf("%w: %w", ErrExecutorFailed, err))
 				return
 			}
 			f.Complete(&Result{Bytes: req.TotalBytes(), Executor: e.ep.ID()})
@@ -229,16 +229,15 @@ func (e *Engine) Submit(req *Request) *sim.Future[*Result] {
 	e.ep.Request(&flit.Packet{
 		Chan: flit.ChCtrl, Op: flit.OpETrans, Dst: agent,
 		Size: uint32(len(desc)), Data: desc,
-	}).OnComplete(func(resp *flit.Packet, err error) {
-		if err != nil {
+	}).OnComplete(func(_ *flit.Packet, err error) {
+		switch {
+		case errors.Is(err, txn.ErrRefused): // the agent's copy failed
+			f.Fail(fmt.Errorf("%w: agent %d: %w", ErrExecutorFailed, agent, err))
+		case err != nil:
 			f.Fail(err)
-			return
+		default:
+			f.Complete(&Result{Bytes: req.TotalBytes(), Executor: agent})
 		}
-		if resp.Op != flit.OpETransDone {
-			f.Fail(fmt.Errorf("%w: agent %d replied %v", ErrExecutorFailed, agent, resp.Op))
-			return
-		}
-		f.Complete(&Result{Bytes: req.TotalBytes(), Executor: agent})
 	})
 	return f
 }
@@ -328,9 +327,9 @@ func (a *Agent) handle(req *flit.Packet, reply func(*flit.Packet)) {
 
 // copySegments streams src segments into dst segments in max-payload
 // chunks through ep, carrying real bytes. When arb is set, each chunk's
-// destination bandwidth is reserved first. A chunk that times out (dead
-// path) or is rejected (OpMemErr from a fenced or partitioned device)
-// aborts the copy with an error naming the failing segment.
+// destination bandwidth is reserved first. A chunk or reservation that
+// fails (a timeout on a dead path, a refusal from a partitioned device)
+// aborts the copy with its txn error, naming the failing segment.
 func copySegments(p *sim.Proc, ep *txn.Endpoint, arb *arbiter.Client, r *Request) error {
 	si, di := 0, 0
 	var sOff, dOff uint64
@@ -349,23 +348,21 @@ func copySegments(p *sim.Proc, ep *txn.Endpoint, arb *arbiter.Client, r *Request
 		if err != nil {
 			return fmt.Errorf("read %d@%#x: %w", s.Port, s.Addr+sOff, err)
 		}
-		if rdResp.Op != flit.OpIOData {
-			return fmt.Errorf("read %d@%#x: device replied %v", s.Port, s.Addr+sOff, rdResp.Op)
-		}
 		if arb != nil {
-			arb.ReserveP(p, d.Port, chunk)
+			if _, err := arb.Reserve(d.Port, chunk).Await(p); err != nil {
+				return fmt.Errorf("reserve toward %d: %w", d.Port, err)
+			}
 		}
-		wrResp, err := ep.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
+		_, werr := ep.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
 			Dst: d.Port, Addr: d.Addr + dOff, Size: uint32(chunk),
 			Data: rdResp.Data}).Await(p)
 		if arb != nil {
-			arb.ReclaimP(p, d.Port, chunk)
+			if _, err := arb.Reclaim(d.Port, chunk).Await(p); err != nil && werr == nil {
+				return fmt.Errorf("reclaim toward %d: %w", d.Port, err)
+			}
 		}
-		if err != nil {
-			return fmt.Errorf("write %d@%#x: %w", d.Port, d.Addr+dOff, err)
-		}
-		if wrResp.Op != flit.OpIOAck {
-			return fmt.Errorf("write %d@%#x: device replied %v", d.Port, d.Addr+dOff, wrResp.Op)
+		if werr != nil {
+			return fmt.Errorf("write %d@%#x: %w", d.Port, d.Addr+dOff, werr)
 		}
 		sOff += chunk
 		dOff += chunk

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -13,7 +12,6 @@ import (
 	"fcc/internal/fault"
 	"fcc/internal/flit"
 	"fcc/internal/sim"
-	"fcc/internal/txn"
 )
 
 // BlastVariant is the full transaction accounting of one blast-radius
@@ -83,13 +81,6 @@ type BlastRadiusResult struct {
 	// Stats is the fabric-wide tree of the FullPlan run, including the
 	// manager and fault subtrees.
 	Stats *sim.StatsSnapshot `json:"stats"`
-}
-
-// blastTyped reports whether err is one of the typed failure modes a
-// fault-tolerant caller is expected to handle.
-func blastTyped(err error) bool {
-	return errors.Is(err, txn.ErrTimeout) || errors.Is(err, txn.ErrDeviceDown) ||
-		errors.Is(err, etrans.ErrExecutorFailed) || errors.Is(err, faa.ErrDeviceDown)
 }
 
 // adaptiveSwitch is E9's switch config: each switch sends a packet out

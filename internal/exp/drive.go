@@ -6,6 +6,7 @@ import (
 	"fcc"
 	"fcc/internal/flit"
 	"fcc/internal/sim"
+	"fcc/internal/txn"
 )
 
 // The two request drivers the experiments share: hostStreams runs one
@@ -119,7 +120,7 @@ func (t *tally) count(hi int, err error) {
 	switch {
 	case err == nil:
 		t.committed[hi]++
-	case blastTyped(err):
+	case txn.Typed(err):
 		t.typed[hi]++
 	default:
 		panic(fmt.Sprintf("exp: untyped failure: %v", err))

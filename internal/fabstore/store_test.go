@@ -8,6 +8,7 @@ import (
 	"fcc"
 	"fcc/internal/fabstore"
 	"fcc/internal/sim"
+	"fcc/internal/txn"
 )
 
 func testCluster(t *testing.T, ccfg fcc.Config, fcfg fabstore.Config) (*fcc.Cluster, *fabstore.Store) {
@@ -66,6 +67,46 @@ func TestPutGetScanAcrossShards(t *testing.T) {
 	}
 	if cl0.TypedErrors.Value()+cl1.TypedErrors.Value() != 0 {
 		t.Error("typed errors on a clean fabric")
+	}
+}
+
+// TestRefusedRequestsFailTyped partitions the store's one FAM to host
+// 1, so the FAM refuses every request from host 0. Host 0's put, get
+// and 8-row scan, and its recovery scan of host 1's intent slots, must
+// each fail with the refusal, which txn.Typed accepts: none may read a
+// refused reply as data or count as committed.
+func TestRefusedRequestsFailTyped(t *testing.T) {
+	c, st := testCluster(t,
+		fcc.Config{Hosts: 2, FAMs: 1, FAMCapacity: 1 << 22},
+		fabstore.Config{Tenants: 1, KeysPerTenant: 16})
+	fam := c.FAMs[0]
+	if err := fam.Partition(c.Hosts[1].Endpoint().ID(), 0, fam.Capacity()); err != nil {
+		t.Fatal(err)
+	}
+	cl := st.Client(0)
+	var errs [4]error
+	var val []byte
+	var rows uint64
+	c.Go("refused", func(p *sim.Proc) {
+		errs[0] = cl.PutP(p, 0, 3, make([]byte, 64))
+		val, errs[1] = cl.GetP(p, 0, 3)
+		rows, errs[2] = cl.ScanP(p, 0, 0, 8)
+		_, errs[3] = fabstore.NewRecovery(st, c.Hosts[0], 1).RecoverP(p, 1)
+	})
+	c.Run()
+	for i, what := range []string{"put", "get", "scan", "recovery scan"} {
+		if !errors.Is(errs[i], txn.ErrRefused) || !txn.Typed(errs[i]) {
+			t.Errorf("%s refused by the FAM ended with %v, want %v", what, errs[i], txn.ErrRefused)
+		}
+	}
+	if val != nil || rows != 0 {
+		t.Errorf("refused get returned %d bytes and scan %d rows; want none", len(val), rows)
+	}
+	if cl.Committed.Value() != 0 || cl.TypedErrors.Value() != 3 {
+		t.Errorf("committed %d, typed errors %d; want 0 and 3", cl.Committed.Value(), cl.TypedErrors.Value())
+	}
+	if n := fam.Violations.Value(); n != 4 {
+		t.Errorf("FAM counted %d violations, want 4: a refused request is never retried", n)
 	}
 }
 

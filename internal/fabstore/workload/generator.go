@@ -6,6 +6,7 @@ import (
 
 	"fcc/internal/fabstore"
 	"fcc/internal/sim"
+	"fcc/internal/txn"
 )
 
 // Mix is one operation blend. Percentages must sum to 100.
@@ -143,7 +144,7 @@ func (d *Driver) Start() {
 					}
 				case errors.Is(err, fabstore.ErrCrashed):
 					d.CrashLost.Inc()
-				case fabstore.Typed(err):
+				case txn.Typed(err):
 					d.TypedErrors.Inc()
 				default:
 					// Deliberately uncounted: surfaces as Unaccounted != 0.

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"errors"
 	"fmt"
 
 	"fcc/internal/fabric"
@@ -408,10 +409,6 @@ func (h *Host) getMSHR() *mshr {
 			if err != nil {
 				panic("host: remote read failed: " + err.Error())
 			}
-			if resp.Op != flit.OpMemRdData {
-				panic(fmt.Sprintf("host %s: remote read of %#x returned %v",
-					m.h.name, m.lineAddr, resp.Op))
-			}
 			m.resp = resp
 			m.h.eng.After(m.h.cfg.FHALat, m.respDelay)
 		}
@@ -560,8 +557,8 @@ func (h *Host) writeback(lineAddr uint64, data [LineSize]byte) {
 	req := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemWr, Dst: r.Port,
 		Addr: r.DevAddr(lineAddr), Size: LineSize, Data: append([]byte(nil), data[:]...)}
 	h.eng.After(h.cfg.FHALat, func() {
-		h.ep.Request(req).OnComplete(func(resp *flit.Packet, err error) {
-			if resp != nil && resp.Op == flit.OpMemErr {
+		h.ep.Request(req).OnComplete(func(_ *flit.Packet, err error) {
+			if errors.Is(err, txn.ErrRefused) {
 				panic(fmt.Sprintf("host %s: writeback of %#x poisoned", h.name, lineAddr))
 			}
 			release()

@@ -375,13 +375,15 @@ func TestUncachedBigRoundTrip(t *testing.T) {
 }
 
 // TestRejectedWritesFail partitions the whole FAM away from the host
-// after the host has dirtied two of its lines, so the FAM answers every
-// write with OpMemErr. Each host path that writes must fail its future:
-// an uncached write, the flush of a dirty line, and a FetchAdd, whose
-// failed flush must stop it before it sends its atomic.
+// after the host has dirtied two of its lines, so the FAM refuses every
+// request with OpMemErr. Each host path must fail its future with an
+// error txn.Typed accepts: an uncached write and read, the flush of a
+// dirty line, a FetchAdd whose failed flush stops it before it sends
+// its atomic, and a FetchAdd on the now clean line, whose atomic the
+// FAM refuses.
 func TestRejectedWritesFail(t *testing.T) {
 	eng, h, f := rig(t, nil)
-	var errs [3]error
+	var errs [5]error
 	eng.Go("writer", func(p *sim.Proc) {
 		h.Store64P(p, remoteBase, 1)
 		h.Store64P(p, remoteBase+0x40, 2)
@@ -390,17 +392,19 @@ func TestRejectedWritesFail(t *testing.T) {
 			return
 		}
 		_, errs[0] = h.UncachedWrite(remoteBase+0x1000, []byte{1, 2, 3, 4}).Await(p)
-		_, errs[1] = h.FlushLine(remoteBase).Await(p)
-		_, errs[2] = h.FetchAdd(remoteBase+0x40, 1).Await(p)
+		_, errs[1] = h.UncachedRead(remoteBase+0x1000, 4).Await(p)
+		_, errs[2] = h.FlushLine(remoteBase).Await(p)
+		_, errs[3] = h.FetchAdd(remoteBase+0x40, 1).Await(p)
+		_, errs[4] = h.FetchAdd(remoteBase+0x40, 1).Await(p)
 	})
 	eng.Run()
-	for i, what := range []string{"uncached write", "flush", "fetch-add"} {
-		if errs[i] == nil {
-			t.Errorf("%s rejected by the FAM resolved without an error", what)
+	for i, what := range []string{"uncached write", "uncached read", "flush", "fetch-add", "clean fetch-add"} {
+		if !errors.Is(errs[i], txn.ErrRefused) || !txn.Typed(errs[i]) {
+			t.Errorf("%s rejected by the FAM ended with %v, want %v", what, errs[i], txn.ErrRefused)
 		}
 	}
-	if n := f.Violations.Value(); n != 3 {
-		t.Errorf("FAM counted %d violations, want 3: the write, the flush and the fetch-add's flush", n)
+	if n := f.Violations.Value(); n != 5 {
+		t.Errorf("FAM counted %d violations, want 5: the write, the read, the flush, the fetch-add's flush and the atomic", n)
 	}
 }
 

@@ -192,9 +192,7 @@ func (h *Host) FlushLine(addr uint64) *sim.Future[struct{}] {
 	req := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemWr, Dst: r.Port,
 		Addr: r.DevAddr(lineAddr), Size: LineSize, Data: append([]byte(nil), dirtyData[:]...)}
 	h.eng.After(h.cfg.FHALat, func() {
-		h.ep.Request(req).OnComplete(func(resp *flit.Packet, err error) {
-			settle(f, replyErr(resp, err, "flush", lineAddr))
-		})
+		h.ep.Request(req).OnComplete(func(_ *flit.Packet, err error) { settle(f, err) })
 	})
 	return f
 }
@@ -226,7 +224,8 @@ func (h *Host) InvalidateRange(addr uint64, n uint64) {
 // FetchAdd performs a remote (or local) atomic fetch-add on the 8 bytes
 // at addr, bypassing the caches (the line is flushed first so the
 // atomic operates on the current value). Resolves to the prior value,
-// or fails, without the atomic, if the flush fails.
+// or fails with the flush's error, without sending the atomic, or with
+// the atomic's.
 func (h *Host) FetchAdd(addr uint64, delta uint64) *sim.Future[uint64] {
 	f := sim.NewFuture[uint64]()
 	h.FlushLine(addr).OnComplete(func(_ struct{}, err error) {
@@ -247,10 +246,6 @@ func (h *Host) FetchAdd(addr uint64, delta uint64) *sim.Future[uint64] {
 			h.ep.Request(req).OnComplete(func(resp *flit.Packet, err error) {
 				if err != nil {
 					f.Fail(err)
-					return
-				}
-				if resp.Op != flit.OpMemAtomicR {
-					f.Fail(fmt.Errorf("host: atomic at %#x returned %v", addr, resp.Op))
 					return
 				}
 				h.eng.After(h.cfg.FHALat, func() {
@@ -288,7 +283,7 @@ func (h *Host) UncachedRead(addr uint64, n uint32) *sim.Future[[]byte] {
 		Addr: r.DevAddr(addr), ReqLen: n}
 	h.eng.After(h.cfg.FHALat, func() {
 		h.ep.Request(req).OnComplete(func(resp *flit.Packet, err error) {
-			if err := replyErr(resp, err, "uncached read", addr); err != nil {
+			if err != nil {
 				f.Fail(err)
 				return
 			}
@@ -314,21 +309,9 @@ func (h *Host) UncachedWrite(addr uint64, data []byte) *sim.Future[struct{}] {
 	req := &flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr, Dst: r.Port,
 		Addr: r.DevAddr(addr), Size: uint32(len(data)), Data: append([]byte(nil), data...)}
 	h.eng.After(h.cfg.FHALat, func() {
-		h.ep.Request(req).OnComplete(func(resp *flit.Packet, err error) {
-			settle(f, replyErr(resp, err, "uncached write", addr))
-		})
+		h.ep.Request(req).OnComplete(func(_ *flit.Packet, err error) { settle(f, err) })
 	})
 	return f
-}
-
-// replyErr is the error a request for op at addr ended with: the
-// transaction's own, or, when the device answered OpMemErr (a poisoned
-// line or a partition violation), one saying so.
-func replyErr(resp *flit.Packet, err error, op string, addr uint64) error {
-	if err == nil && resp.Op == flit.OpMemErr {
-		return fmt.Errorf("host: %s of %#x refused by the device", op, addr)
-	}
-	return err
 }
 
 // settle completes f, or fails it with err when there is one.

@@ -8,10 +8,10 @@ import (
 )
 
 // Errcmp requires errors.Is for comparisons against the module's typed
-// sentinel errors (txn.ErrTimeout, txn.ErrDeviceDown,
-// etrans.ErrExecutorFailed, faa.ErrDeviceDown, ...). Every production
-// path wraps these sentinels with context (`fmt.Errorf("%w: ...")`),
-// so an == comparison is not just unidiomatic — it is wrong: it never
+// sentinel errors (txn.ErrTimeout, txn.ErrDeviceDown, txn.ErrRefused,
+// etrans.ErrExecutorFailed, ...). Every production path wraps these
+// sentinels with context (`fmt.Errorf("%w: ...")`), so an ==
+// comparison is not just unidiomatic — it is wrong: it never
 // matches the wrapped error and silently turns a typed failure into an
 // unhandled one. Only fcc-module sentinels are enforced; stdlib
 // sentinels like io.EOF keep their conventional comparisons.

@@ -16,7 +16,7 @@
 //     that run as *sim.Proc bodies — the engine resumes exactly
 //     one process at a time, so real blocking deadlocks the DES.
 //   - errcmp:    compare the module's typed sentinel errors
-//     (txn.ErrTimeout, txn.ErrDeviceDown, etrans.ErrExecutorFailed, …)
+//     (txn.ErrTimeout, txn.ErrRefused, etrans.ErrExecutorFailed, …)
 //     with errors.Is, never ==, because every production path
 //     wraps them.
 //   - hotpath:   no map construction in files tagged //fcclint:hotpath —

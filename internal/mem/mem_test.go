@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -355,21 +356,21 @@ func TestFAMPartitionEnforcement(t *testing.T) {
 	if err := f.Partition(999, 4096, 4096); err != nil {
 		t.Fatal(err)
 	}
-	var inOK, outOK flit.Op
+	var inOK flit.Op
+	var outErr error
 	eng.Go("driver", func(p *sim.Proc) {
 		resp := h.Request(&flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd,
 			Dst: f.ID(), Addr: 0, ReqLen: 64}).MustAwait(p)
 		inOK = resp.Op
-		resp = h.Request(&flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd,
-			Dst: f.ID(), Addr: 8192, ReqLen: 64}).MustAwait(p)
-		outOK = resp.Op
+		_, outErr = h.Request(&flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd,
+			Dst: f.ID(), Addr: 8192, ReqLen: 64}).Await(p)
 	})
 	eng.Run()
 	if inOK != flit.OpMemRdData {
 		t.Fatalf("in-partition read = %v", inOK)
 	}
-	if outOK != flit.OpMemErr {
-		t.Fatalf("out-of-partition read = %v, want MemErr", outOK)
+	if !errors.Is(outErr, txn.ErrRefused) {
+		t.Fatalf("out-of-partition read ended with %v, want %v", outErr, txn.ErrRefused)
 	}
 	if f.Violations.Value() != 1 {
 		t.Fatalf("violations = %d", f.Violations.Value())

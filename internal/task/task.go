@@ -146,7 +146,8 @@ type Result struct {
 // Submit runs the task to completion (with retries) and resolves with
 // the attempt count. The done-flag protocol makes commit exactly-once
 // effective: attempts recompute identical bytes from the snapshot, so
-// replayed commits are harmless.
+// replayed commits are harmless. A region the fabric fails to read or
+// write fails the future with that request's txn error.
 func (r *Runner) Submit(t *Task) *sim.Future[*Result] {
 	f := sim.NewFuture[*Result]()
 	if _, err := t.Verify(); err != nil {
@@ -166,7 +167,12 @@ func (r *Runner) Submit(t *Task) *sim.Future[*Result] {
 		// Top half: snapshot every input ONCE, before any attempt.
 		snap := make([][]byte, len(t.Inputs))
 		for i, in := range t.Inputs {
-			snap[i] = r.readRegion(p, in)
+			b, err := r.readRegion(p, in)
+			if err != nil {
+				f.Fail(fmt.Errorf("task %s: input %d: %w", t.Name, i, err))
+				return
+			}
+			snap[i] = b
 		}
 		for attempt := 1; attempt <= max; attempt++ {
 			r.Attempts.Inc()
@@ -183,9 +189,12 @@ func (r *Runner) Submit(t *Task) *sim.Future[*Result] {
 			}
 			// Commit: write outputs, then the task is done. A crash
 			// mid-commit just means the next attempt rewrites the same
-			// bytes.
+			// bytes. A region the fabric fails to write fails the task.
 			for i, out := range t.Outputs {
-				r.writeRegion(p, out, ctx.outputs[i])
+				if err := r.writeRegion(p, out, ctx.outputs[i]); err != nil {
+					f.Fail(fmt.Errorf("task %s: output %d: %w", t.Name, i, err))
+					return
+				}
 			}
 			r.Committed.Inc()
 			f.Complete(&Result{Attempts: attempt, Engine: eng.Name()})
@@ -201,8 +210,9 @@ func (r *Runner) SubmitP(p *sim.Proc, t *Task) *Result {
 	return r.Submit(t).MustAwait(p)
 }
 
-// readRegion pulls a region's bytes over the fabric in MPS chunks.
-func (r *Runner) readRegion(p *sim.Proc, reg Region) []byte {
+// readRegion pulls a region's bytes over the fabric in MPS chunks. It
+// stops at the first chunk that fails, with that chunk's txn error.
+func (r *Runner) readRegion(p *sim.Proc, reg Region) ([]byte, error) {
 	out := make([]byte, 0, reg.Size)
 	var off uint64
 	for off < reg.Size {
@@ -210,26 +220,35 @@ func (r *Runner) readRegion(p *sim.Proc, reg Region) []byte {
 		if rem := reg.Size - off; rem < chunk {
 			chunk = rem
 		}
-		resp := r.ep.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIORd,
-			Dst: reg.Port, Addr: reg.Addr + off, ReqLen: uint32(chunk)}).MustAwait(p)
+		resp, err := r.ep.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIORd,
+			Dst: reg.Port, Addr: reg.Addr + off, ReqLen: uint32(chunk)}).Await(p)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, resp.Data...)
 		off += chunk
 	}
-	return out
+	return out, nil
 }
 
-func (r *Runner) writeRegion(p *sim.Proc, reg Region, data []byte) {
+// writeRegion pushes data into a region in MPS chunks, stopping at the
+// first chunk that fails.
+func (r *Runner) writeRegion(p *sim.Proc, reg Region, data []byte) error {
 	var off uint64
 	for off < reg.Size {
 		chunk := uint64(link.MaxPacketPayload)
 		if rem := reg.Size - off; rem < chunk {
 			chunk = rem
 		}
-		r.ep.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
+		_, err := r.ep.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
 			Dst: reg.Port, Addr: reg.Addr + off, Size: uint32(chunk),
-			Data: append([]byte(nil), data[off:off+chunk]...)}).MustAwait(p)
+			Data: append([]byte(nil), data[off:off+chunk]...)}).Await(p)
+		if err != nil {
+			return err
+		}
 		off += chunk
 	}
+	return nil
 }
 
 // LocalEngine runs task bodies as processes on the submitting node with

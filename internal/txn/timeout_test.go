@@ -19,7 +19,7 @@ func TestRequestTimesOutTyped(t *testing.T) {
 			OnComplete(func(_ *flit.Packet, err error) { got, at = err, eng.Now() })
 	})
 	eng.Run()
-	if !errors.Is(got, ErrTimeout) {
+	if !errors.Is(got, ErrTimeout) || !Typed(got) {
 		t.Fatalf("err = %v, want ErrTimeout", got)
 	}
 	if at != a.Timeout {
@@ -176,7 +176,7 @@ func TestRequestRetryExhaustionIsTyped(t *testing.T) {
 			OnComplete(func(_ *flit.Packet, err error) { got, at = err, eng.Now() })
 	})
 	eng.Run()
-	if !errors.Is(got, ErrDeviceDown) || !errors.Is(got, ErrTimeout) {
+	if !errors.Is(got, ErrDeviceDown) || !errors.Is(got, ErrTimeout) || !Typed(got) {
 		t.Fatalf("err = %v, want ErrDeviceDown wrapping ErrTimeout", got)
 	}
 	// Deterministic schedule: 3 timeouts plus backoffs of 500ns and 1us.
@@ -203,5 +203,37 @@ func TestRequestRetryNormalizesAttempts(t *testing.T) {
 	}
 	if a.Retries.Value() != 0 {
 		t.Fatalf("retries = %d on a clean path", a.Retries.Value())
+	}
+}
+
+// TestRefusalFailsTyped answers every request with OpMemErr. Both
+// request forms must fail with ErrRefused, which Typed accepts, and the
+// retried form must not retry: the device answered, so the armed
+// timeout finds the request done.
+func TestRefusalFailsTyped(t *testing.T) {
+	eng, a, b := pair(t, 0)
+	b.Handler = func(req *flit.Packet, reply func(*flit.Packet)) {
+		reply(req.Response(flit.OpMemErr, 0))
+	}
+	a.Timeout = 1 * sim.Microsecond
+	var errs [2]error
+	eng.After(0, func() {
+		a.Request(&flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: 2}).
+			OnComplete(func(_ *flit.Packet, err error) { errs[0] = err })
+		a.RequestRetry(&flit.Packet{Chan: flit.ChMem, Op: flit.OpMemWr, Dst: 2, Size: 64}, 3, 500*sim.Nanosecond).
+			OnComplete(func(_ *flit.Packet, err error) { errs[1] = err })
+	})
+	eng.Run()
+	for i, err := range errs {
+		if !errors.Is(err, ErrRefused) || !Typed(err) || errors.Is(err, ErrTimeout) {
+			t.Errorf("request %d: err = %v, want ErrRefused", i, err)
+		}
+	}
+	if s, r, n := a.ReqsSent.Value(), a.RespsRecv.Value(), a.Retries.Value(); s != 2 || r != 2 || n != 0 {
+		t.Errorf("sent %d, received %d, retried %d; want 2, 2, 0", s, r, n)
+	}
+	if a.Timeouts.Value() != 0 || a.Outstanding() != 0 || a.Tombstones() != 0 || a.tags.InUse() != 0 {
+		t.Errorf("timeouts %d, outstanding %d, tombstones %d, tags in use %d after the refusals",
+			a.Timeouts.Value(), a.Outstanding(), a.Tombstones(), a.tags.InUse())
 	}
 }

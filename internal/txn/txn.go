@@ -26,6 +26,18 @@ var ErrTimeout = errors.New("txn: request timed out")
 // its attempts: the destination stayed unreachable across every backoff.
 var ErrDeviceDown = errors.New("txn: device unreachable")
 
+// ErrRefused reports a request the device answered with OpMemErr: a
+// partition violation, a dead or missing function, a failed copy. The
+// device is alive and said no, so a refused request is never retried.
+var ErrRefused = errors.New("txn: request refused")
+
+// Typed reports whether err is a typed fabric failure: a request that
+// timed out, spent its retries, or was refused. A caller that counts
+// every request as committed, failed or lost matches failures with it.
+func Typed(err error) bool {
+	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrDeviceDown) || errors.Is(err, ErrRefused)
+}
+
 // Sender is anything that can emit a packet toward the fabric — a link
 // port, or a loopback in tests. A sender is done with pkt when Send
 // returns (link.Port.Send encodes it into flits at once), so a request
@@ -221,7 +233,8 @@ func (e *Endpoint) getReplyCtx() *replyCtx {
 }
 
 // Dispatch routes an inbound packet: responses complete their pending
-// future; requests go to the Handler.
+// future, or fail it with ErrRefused when the device answered OpMemErr;
+// requests go to the Handler.
 func (e *Endpoint) Dispatch(pkt *flit.Packet) {
 	if pkt.Op.IsRequest() {
 		if e.Handler == nil {
@@ -248,6 +261,10 @@ func (e *Endpoint) Dispatch(pkt *flit.Packet) {
 	e.freeTags.Push(pkt.Tag)
 	e.tags.Release()
 	e.RespsRecv.Inc()
+	if pkt.Op == flit.OpMemErr {
+		f.Fail(fmt.Errorf("%w by device %d at %#x", ErrRefused, pkt.Src, pkt.Addr))
+		return
+	}
 	f.Complete(pkt)
 }
 
@@ -314,7 +331,8 @@ func (e *Endpoint) Request(pkt *flit.Packet) *sim.Future[*flit.Packet] {
 // out it re-sends pkt with a fresh tag after an exponentially growing
 // backoff, up to attempts total tries (attempts <= 0 means one; without
 // a Timeout no attempt times out). Once exhausted, the future fails with
-// ErrDeviceDown wrapping the final timeout. The doubling is
+// ErrDeviceDown wrapping the final timeout; a refusal fails it at once
+// with ErrRefused. The doubling is
 // deterministic, with no jitter, so seeded runs reproduce exactly. The
 // re-send reuses the caller's packet: pkt and its Data must stay
 // unchanged until the future resolves.
