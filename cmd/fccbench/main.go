@@ -210,7 +210,7 @@ func main() {
 			r := exp.BlastRadius(seed)
 			return r, exp.RenderBlastRadius(r)
 		}},
-		{"shard-equiv", "E10: sharded PDES equivalence + speedup", func(seed uint64) (any, string) {
+		{"shard-equiv", "E10: sharded PDES equivalence", func(seed uint64) (any, string) {
 			return shardEquiv(seed)
 		}},
 		{"fabstore", "E11: FabStore multi-tenant transactional KV macro-benchmark", func(seed uint64) (any, string) {
@@ -316,16 +316,12 @@ func main() {
 // one switch per failure domain on their 4-switch rings.
 const shards = 4
 
-// shardTimedRun is one wall-clock measurement of a scenario at a given
-// shard count. The timing fields stay out of the JSON export — the
-// document must be byte-identical across identical runs, and
-// wall-clock never is; the measured numbers print in the
-// human-readable table instead.
+// shardTimedRun is one E12 run at a given shard count. Its wall clock
+// prints in the human-readable table only: the document must be
+// byte-identical across identical runs, and wall clock never is.
 type shardTimedRun struct {
-	Shards  int     `json:"shards"`
-	WallMs  float64 `json:"-"`
-	Speedup float64 `json:"-"`
-	Match   bool    `json:"match"`
+	Shards int  `json:"shards"`
+	Match  bool `json:"match"`
 }
 
 // fabStoreResult is the E11 result: throughput/tail tables for the
@@ -385,21 +381,17 @@ func fabStoreBench(seed uint64) (any, string) {
 }
 
 // shardEquivResult is the E10 result: byte-equivalence of serial vs
-// sharded snapshots on the blast ring (with and without a fault plan),
-// plus measured wall-clock speedup on the wide ring.
+// sharded snapshots on the blast ring, with and without a fault plan.
 type shardEquivResult struct {
-	Seed           uint64          `json:"seed"`
-	RingShards     int             `json:"ring_shards"`
-	RingMatch      bool            `json:"ring_match"`
-	RingFaultMatch bool            `json:"ring_fault_match"`
-	Committed      int             `json:"committed"`
-	Wide           []shardTimedRun `json:"wide"`
+	Seed           uint64 `json:"seed"`
+	RingShards     int    `json:"ring_shards"`
+	RingMatch      bool   `json:"ring_match"`
+	RingFaultMatch bool   `json:"ring_fault_match"`
+	Committed      int    `json:"committed"`
 }
 
 // shardEquiv runs E10: the equivalence check on the 4-switch ring at
-// 4 shards, then the wide ring timed at 1/2/4/8 shards. Wall-clock
-// timing lives here in cmd/ — the exp package stays free of
-// nondeterminism sources.
+// 4 shards, clean and under its fault plan. E12 measures wall clock.
 func shardEquiv(seed uint64) (any, string) {
 	r := &shardEquivResult{Seed: seed, RingShards: shards}
 
@@ -412,47 +404,9 @@ func shardEquiv(seed uint64) (any, string) {
 	serialF, _, _ := exp.ScaleRun(seed, 1, ringCfg)
 	shardedF, _, _ := exp.ScaleRun(seed, shards, ringCfg)
 	r.RingFaultMatch = bytes.Equal(serialF, shardedF)
-
-	wideCfg := exp.ScaleWideConfig()
-	r.Wide, _ = timedSweep(seed, wideCfg)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "ring equivalence (4 switches, %d shards): clean %v, fault plan %v (%d ops committed)\n",
+	text := fmt.Sprintf("ring equivalence (4 switches, %d shards): clean %v, fault plan %v (%d ops committed)\n",
 		r.RingShards, r.RingMatch, r.RingFaultMatch, r.Committed)
-	fmt.Fprintf(&b, "wide ring speedup (%d switches, %d hosts, %v ISL propagation):\n",
-		wideCfg.Cluster.Topology.Groups, wideCfg.Cluster.Hosts, wideCfg.Cluster.LinkConfig().Phys.Propagation)
-	renderSweep(&b, r.Wide)
-	return r, b.String()
-}
-
-// timedSweep runs cfg at 1, 2, 4 and 8 shards, timing each run and
-// checking its snapshot byte for byte against the serial run's, whose
-// committed count it returns.
-func timedSweep(seed uint64, cfg exp.ScaleConfig) (runs []shardTimedRun, committed int) {
-	var serial []byte
-	var serialMs float64
-	for _, n := range []int{1, 2, 4, 8} {
-		start := time.Now()
-		raw, v, _ := exp.ScaleRun(seed, n, cfg)
-		ms := float64(time.Since(start).Microseconds()) / 1e3
-		run := shardTimedRun{Shards: n, WallMs: ms, Speedup: 1, Match: true}
-		if n == 1 {
-			serial, serialMs, committed = raw, ms, v.Committed
-		} else {
-			run.Speedup = serialMs / ms
-			run.Match = bytes.Equal(serial, raw)
-		}
-		runs = append(runs, run)
-	}
-	return runs, committed
-}
-
-// renderSweep prints timedSweep's runs as a table.
-func renderSweep(b *strings.Builder, runs []shardTimedRun) {
-	fmt.Fprintf(b, "  %6s | %9s | %7s | %s\n", "shards", "wall ms", "speedup", "snapshot match")
-	for _, w := range runs {
-		fmt.Fprintf(b, "  %6d | %9.1f | %6.2fx | %v\n", w.Shards, w.WallMs, w.Speedup, w.Match)
-	}
+	return r, text
 }
 
 // shardSpeedupResult is the E12 result: wall-clock scaling of the
@@ -469,18 +423,30 @@ type shardSpeedupResult struct {
 
 // shardSpeedup runs E12: the ScalePodsConfig multi-pod workload (8
 // pods of 2 switches, long-haul pod ring, mostly pod-local traffic)
-// timed at 1/2/4/8 shards, checking serial-vs-sharded byte equivalence
-// inline on every run.
+// timed at 1/2/4/8 shards, checking each run's snapshot byte for byte
+// against the serial run's.
 func shardSpeedup(seed uint64) (any, string) {
 	cfg := exp.ScalePodsConfig()
 	spec := cfg.Cluster.Topology
 	r := &shardSpeedupResult{Seed: seed, GoMaxProcs: runtime.GOMAXPROCS(0)}
-	r.Runs, r.Committed = timedSweep(seed, cfg)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "multi-pod scaling (%d pods x %d switches, %d hosts, %v pod links, GOMAXPROCS=%d):\n",
 		spec.Groups, spec.Pods, cfg.Cluster.Hosts, spec.LongHaulConfig().Phys.Propagation, r.GoMaxProcs)
-	renderSweep(&b, r.Runs)
+	fmt.Fprintf(&b, "  %6s | %9s | %7s | %s\n", "shards", "wall ms", "speedup", "snapshot match")
+	var serial []byte
+	var serialMs float64
+	for _, n := range []int{1, 2, 4, 8} {
+		start := time.Now()
+		raw, v, _ := exp.ScaleRun(seed, n, cfg)
+		ms := float64(time.Since(start).Microseconds()) / 1e3
+		if n == 1 {
+			serial, serialMs, r.Committed = raw, ms, v.Committed
+		}
+		run := shardTimedRun{Shards: n, Match: bytes.Equal(serial, raw)}
+		r.Runs = append(r.Runs, run)
+		fmt.Fprintf(&b, "  %6d | %9.1f | %6.2fx | %v\n", n, ms, serialMs/ms, run.Match)
+	}
 	if r.GoMaxProcs == 1 {
 		b.WriteString("  (single-P runtime: coordinator ran its sequential path; ratios measure\n" +
 			"   coordination cost + per-engine locality, not parallel overlap)\n")
@@ -510,20 +476,10 @@ type scaleRow struct {
 	ShardedEvS float64 `json:"-"`
 }
 
-// scaleStormRow is the storm half of E13: the pod-0 failure storm run
-// with incremental repair, checked byte-identical against FullRecompute.
-type scaleStormRow struct {
-	exp.ScaleStormResult
-	Match    bool    `json:"match"`
-	WallMs   float64 `json:"-"`
-	StormEvS float64 `json:"-"`
-}
-
 // scaleResult is the E13 result document.
 type scaleResult struct {
-	Seed  uint64        `json:"seed"`
-	Rows  []scaleRow    `json:"rows"`
-	Storm scaleStormRow `json:"storm"`
+	Seed uint64     `json:"seed"`
+	Rows []scaleRow `json:"rows"`
 }
 
 // measureRepair times the route engine directly on a booted cluster:
@@ -563,9 +519,8 @@ func measureRepair(c *fcc.Cluster) (repairUs, fullUs float64) {
 // scaleSweep runs E13: for each generated topology, wall-clock boot
 // time, single-ISL route-repair time (incremental vs full recompute),
 // and steady-state events/sec serial and sharded with the
-// byte-equivalence check inline; then the pod-0 failure storm with the
-// manager, incremental vs FullRecompute. Wall-clock timing lives here
-// in cmd/ — the exp package stays free of nondeterminism sources.
+// byte-equivalence check inline. Wall-clock timing lives here in cmd/ —
+// the exp package stays free of nondeterminism sources.
 func scaleSweep(seed uint64, traffic bool) (any, string) {
 	r := &scaleResult{Seed: seed}
 	for _, cfg := range exp.ScaleScenarios() {
@@ -599,16 +554,6 @@ func scaleSweep(seed uint64, traffic bool) (any, string) {
 		r.Rows = append(r.Rows, row)
 	}
 
-	start := time.Now()
-	inc := exp.ScaleStorm(seed, exp.ScaleStormConfig(), false)
-	wallMs := float64(time.Since(start).Microseconds()) / 1e3
-	full := exp.ScaleStorm(seed, exp.ScaleStormConfig(), true)
-	r.Storm = scaleStormRow{ScaleStormResult: inc, WallMs: wallMs}
-	r.Storm.Match = bytes.Equal(inc.Raw, full.Raw)
-	if wallMs > 0 {
-		r.Storm.StormEvS = float64(inc.Events) / (wallMs / 1e3)
-	}
-
 	var b strings.Builder
 	fmt.Fprintf(&b, "  %-14s | %3s sw | %4s ep | %7s | %13s | %8s | %11s | %11s | %s\n",
 		"topology", "", "", "boot ms", "repair us", "repair x", "serial ev/s", "shard ev/s", "match")
@@ -618,11 +563,6 @@ func scaleSweep(seed uint64, traffic bool) (any, string) {
 			row.RepairUs, row.FullUs, row.RepairX,
 			row.SerialEvS, row.ShardedEvS, row.ShardMatch, row.Shards)
 	}
-	fmt.Fprintf(&b, "pod-0 storm (%s): %d incremental repairs + %d full refills, %d committed / %d typed of %d issued,\n"+
-		"  incremental == full-recompute snapshots: %v (%.1fms wall, %.2e ev/s)\n",
-		strings.Join(r.Storm.Kills, ", "), r.Storm.Repairs, r.Storm.Fulls,
-		r.Storm.Variant.Committed, r.Storm.Variant.TypedErrors, r.Storm.Variant.Issued,
-		r.Storm.Match, r.Storm.WallMs, r.Storm.StormEvS)
 	if traffic {
 		b.WriteString("\n")
 		b.WriteString(exp.ScaleTraffic(seed, exp.ScaleScenarios()[0]))

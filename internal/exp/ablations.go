@@ -11,6 +11,7 @@ import (
 	"fcc/internal/faa"
 	"fcc/internal/fabric"
 	"fcc/internal/fabstore/workload"
+	"fcc/internal/fault"
 	"fcc/internal/flit"
 	"fcc/internal/host"
 	"fcc/internal/link"
@@ -384,17 +385,16 @@ func MIMOPipeline(frames int, injectFailures bool) MIMOResult {
 		runner.AddEngine(faa.NewEngine(d))
 	}
 	if injectFailures {
-		var inject func(round int)
-		inject = func(round int) {
-			if round > 50 {
-				return
-			}
-			victim := c.FAAs[round%2]
-			victim.Fail()
-			c.Eng.After(15*sim.Microsecond, func() { victim.Recover() })
-			c.Eng.After(35*sim.Microsecond, func() { inject(round + 1) })
+		// Every 35 µs from 10 µs, one FAA chassis dies for 15 µs, the two
+		// taking turns.
+		plan := fault.NewPlan("mimo-chassis-kills")
+		for r := 0; r <= 50; r++ {
+			at := 10*sim.Microsecond + sim.Time(r)*35*sim.Microsecond
+			plan.KillChassis(at, c.FAAs[r%2].Name(), 15*sim.Microsecond)
 		}
-		c.Eng.After(10*sim.Microsecond, func() { inject(0) })
+		if err := c.NewInjector(1).Schedule(plan); err != nil {
+			panic(err)
+		}
 	}
 	res := runMIMO(c, runner, frames)
 	res.FAAFailovers = runner.Failures.Value()

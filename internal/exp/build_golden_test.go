@@ -135,7 +135,6 @@ func goldenCases() []goldenCase {
 		result("mimo-clean", func() any { return MIMOPipeline(8, false) }),
 		result("mimo-failures", func() any { return MIMOPipeline(8, true) }),
 		result("prefetch", func() any { return PrefetchSweep() }),
-		scaleRun("shardrun-wide", 1, ScaleWideConfig(), false),
 		result("fabstore-tables", func() any { return [][]FabStoreMixRow{FabStoreMixes(1, false), FabStoreMixes(1, true)} }),
 		result("fabstore-recovery", func() any { return FabStoreRecovery(1) }),
 		scaleRun("shardrun-pods", 1, ScalePodsConfig(), false),
@@ -284,7 +283,6 @@ var buildGolden = map[string]string{
 	"mimo-clean":            "ad439c5818e50d063102a7a531f5f007b257000b6c15f203526a84e00b50dfbe",
 	"mimo-failures":         "e79565bdf1379d3c134de396f2b073d4c20ad0029288f87a763032caace5a4f5",
 	"prefetch":              "9cae580b1c65bc6a4ddd6045b3b0f93fbef8ca47356fae6d4aa280620d1af3bb",
-	"shardrun-wide":         "f9eae18777931df502960b383cc228a774dc1ef3fe55d61d01e06ddd31907b6e",
 	"fabstore-tables":       "c24be2d1f86e9d0d9f77da317bec4b72317f1e02031f47affa978c014d09e66b",
 	"fabstore-recovery":     "eab62e1b934d75efe09014bfef62c33944815d8a45c5d4a7d2619c18888b974c",
 	"shardrun-pods":         "e56ee29fc68fce71eed7de3d0b8ab377ed85a8ac3efdba825b567d38dfd8e23d",

@@ -59,20 +59,6 @@ func ScaleRingConfig() ScaleConfig {
 	}
 }
 
-// ScaleWideConfig is E10's speedup scenario: a wider ring with
-// cross-row-class optics (1 µs propagation, ~200 m of fiber, endpoint
-// links included), so each lookahead window holds enough per-domain
-// work to amortize the barrier.
-func ScaleWideConfig() ScaleConfig {
-	return ScaleConfig{
-		Name: "ring-8sw-1us",
-		Cluster: fcc.Config{Hosts: 64, FAMs: 8,
-			Topology:   &fabric.TopoSpec{Kind: fabric.TopoChain, Groups: 8, Pods: 1},
-			LinkConfig: wire(sim.Microsecond)},
-		OpsPerHost: 400,
-	}
-}
-
 // ScalePodsConfig is E12's rack-scale scenario: 8 pods of 2 switches
 // joined into a pod ring by 1 µs long-haul optics, 64 hosts, one FAM
 // per switch. Shard cuts land on pod boundaries, so the discovered

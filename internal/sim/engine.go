@@ -81,10 +81,8 @@ type Engine struct {
 	// coroutine each), so tests can pin the free list's reuse guarantee.
 	runnersMinted int
 
-	// EventLimit, when >0, aborts Run with a panic after that many events.
-	// It is a guard against accidental infinite simulations in tests.
-	EventLimit uint64
-	fired      uint64
+	// fired counts the events popped so far (Events).
+	fired uint64
 
 	// locals holds the per-engine state model packages keep here (see
 	// Local); a package or two, so a scan beats a map.
@@ -438,9 +436,6 @@ func (e *Engine) pop() *event {
 	e.curIdx++
 	e.now = ev.at
 	e.fired++
-	if e.EventLimit > 0 && e.fired > e.EventLimit {
-		panic(fmt.Sprintf("sim: event limit %d exceeded at t=%v", e.EventLimit, e.now))
-	}
 	return ev
 }
 
@@ -507,8 +502,7 @@ func (e *Engine) driveTo(limit Time) {
 // takeOwnWake consumes the next pending event if and only if it is p's
 // own resume within the drive horizon. Called by a pausing process that
 // the dispatch loop resumed, so firing the event in place is exactly
-// what the loop would do next. When the next event would exceed
-// EventLimit it declines, so the limit panic fires in driveTo.
+// what the loop would do next.
 func (e *Engine) takeOwnWake(p *Proc) bool {
 	if e.stopped {
 		return false
@@ -518,9 +512,6 @@ func (e *Engine) takeOwnWake(p *Proc) bool {
 	}
 	ev := e.cur[e.curIdx]
 	if ev.kind != kindProc || ev.arg != p || ev.at > e.driveLimit {
-		return false
-	}
-	if e.EventLimit > 0 && e.fired >= e.EventLimit {
 		return false
 	}
 	e.pop()

@@ -205,20 +205,6 @@ func TestEngineOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestEngineEventLimitPanics(t *testing.T) {
-	e := NewEngine()
-	e.EventLimit = 10
-	var step func()
-	step = func() { e.After(Nanosecond, step) }
-	e.After(0, step)
-	defer func() {
-		if recover() == nil {
-			t.Error("event limit did not panic")
-		}
-	}()
-	e.Run()
-}
-
 // TestTimeArithmeticSaturatesAtHorizon is the overflow regression for
 // the sim.Time audit: before the fix, After/After2/RunFor computed
 // now+d unchecked, so a huge "forever" duration wrapped negative —
