@@ -106,10 +106,10 @@ shard-speedup:
 
 # scale-smoke runs E13, the datacenter-scale sweep: boot and
 # route-repair wall clock plus steady-state events/sec on generated
-# fat-trees and a dragonfly, with the serial-vs-sharded and
-# incremental-vs-full equivalence checks inline. Non-gating in ci
-# (wall-clock noise must never block a merge), but any `false` in a
-# match column is a determinism bug — report it.
+# fat-trees and a dragonfly, with the serial-vs-sharded equivalence
+# check inline. Non-gating in ci (wall-clock noise must never block a
+# merge), but any `false` in a match column is a determinism bug —
+# report it.
 scale-smoke:
 	$(GO) run ./cmd/fccbench -exp scale -seed 1
 
