@@ -106,7 +106,6 @@ type lineOp struct {
 
 	run     func()
 	hitStep func()
-	respFn  func(*flit.Packet, error)
 }
 
 // Client is one node's participant in the directory protocol: a coherent
@@ -205,12 +204,6 @@ func (c *Client) getOp() *lineOp {
 		op = &lineOp{c: c}
 		op.run = func() { op.c.runOp(op) }
 		op.hitStep = func() { op.c.finishHit(op) }
-		op.respFn = func(resp *flit.Packet, err error) {
-			if err != nil {
-				panic("coherence: protocol request failed: " + err.Error())
-			}
-			op.c.granted(op, resp.ReqLen, resp.Data)
-		}
 	} else {
 		c.opFree = op.next
 		op.next = nil
@@ -364,7 +357,7 @@ func (c *Client) Write64P(p *sim.Proc, addr uint64, v uint64) {
 }
 
 // protocol issues one coherent request to the home directory on behalf
-// of op; the grant lands in granted via the op's pre-bound respFn.
+// of op; the grant lands in granted through clientGranted.
 func (c *Client) protocol(op *lineOp, pop flit.Op, data []byte) {
 	req := &flit.Packet{Chan: flit.ChCache, Op: pop, Dst: c.home, Addr: op.addr}
 	if data != nil {
@@ -382,7 +375,16 @@ func clientSendFire(a any) {
 	c := op.c
 	// Bounded retry rides out link-fault windows on hosts whose endpoint
 	// enforces a timeout (fault experiments).
-	c.h.Endpoint().RequestRetry(req, c.cfg.RetryAttempts, c.cfg.RetryBackoff).OnComplete(op.respFn)
+	c.h.Endpoint().RequestFn(req, c.cfg.RetryAttempts, c.cfg.RetryBackoff, clientGranted, op)
+}
+
+// clientGranted is the completion of op's protocol request.
+func clientGranted(a any, resp *flit.Packet, err error) {
+	if err != nil {
+		panic("coherence: protocol request failed: " + err.Error())
+	}
+	op := a.(*lineOp)
+	op.c.granted(op, resp.ReqLen, resp.Data)
 }
 
 // granted applies a directory response to the op that requested it.

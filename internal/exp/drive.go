@@ -87,7 +87,7 @@ func hostStreams(c *fcc.Cluster, seed uint64, ops int, s stream, finish func()) 
 			for op := 0; op < ops; op++ {
 				pkt := s.pkt(hi, op, rng)
 				t.issued[hi]++
-				_, err := ep.RequestRetry(pkt, 3, 20*sim.Microsecond).Await(p)
+				_, err := ep.RequestP(p, pkt, 3, 20*sim.Microsecond)
 				t.count(hi, err)
 				p.Sleep(s.think(rng))
 			}

@@ -147,10 +147,10 @@ func (c *Client) GetP(p *sim.Proc, tenant int, key uint64) ([]byte, error) {
 		}
 	} else {
 		var resp *flit.Packet
-		resp, err = c.ep.RequestRetry(&flit.Packet{
+		resp, err = c.ep.RequestP(p, &flit.Packet{
 			Chan: flit.ChIO, Op: flit.OpIORd, Dst: port, Addr: addr,
 			ReqLen: uint32(slot),
-		}, c.s.cfg.RetryAttempts, c.s.cfg.RetryBackoff).Await(p)
+		}, c.s.cfg.RetryAttempts, c.s.cfg.RetryBackoff)
 		if err == nil {
 			val = resp.Data
 		}
@@ -296,10 +296,10 @@ func (c *Client) ScanP(p *sim.Proc, tenant int, startKey uint64, n uint64) (rows
 				chunk = rem
 			}
 			err = c.withReservedP(p, port, chunk, func() error {
-				_, rerr := c.ep.RequestRetry(&flit.Packet{
+				_, rerr := c.ep.RequestP(p, &flit.Packet{
 					Chan: flit.ChIO, Op: flit.OpIORd, Dst: port,
 					Addr: addr + off, ReqLen: uint32(chunk),
-				}, c.s.cfg.RetryAttempts, c.s.cfg.RetryBackoff).Await(p)
+				}, c.s.cfg.RetryAttempts, c.s.cfg.RetryBackoff)
 				return rerr
 			})
 			if c.crashed {
@@ -321,10 +321,10 @@ func (c *Client) ScanP(p *sim.Proc, tenant int, startKey uint64, n uint64) (rows
 
 // writeP issues one retried IO write.
 func (c *Client) writeP(p *sim.Proc, dst flit.PortID, addr uint64, data []byte) error {
-	_, err := c.ep.RequestRetry(&flit.Packet{
+	_, err := c.ep.RequestP(p, &flit.Packet{
 		Chan: flit.ChIO, Op: flit.OpIOWr, Dst: dst, Addr: addr,
 		Size: uint32(len(data)), Data: data,
-	}, c.s.cfg.RetryAttempts, c.s.cfg.RetryBackoff).Await(p)
+	}, c.s.cfg.RetryAttempts, c.s.cfg.RetryBackoff)
 	return err
 }
 

@@ -54,10 +54,10 @@ func (rec *Recovery) RecoverP(p *sim.Proc, crashed int) ([]Replay, error) {
 		for slot := 0; slot < s.cfg.IntentSlots; slot++ {
 			rec.Scanned.Inc()
 			iaddr := s.intentAddr(sh, crashed, slot)
-			resp, err := rec.h.Endpoint().RequestRetry(&flit.Packet{
+			resp, err := rec.h.Endpoint().RequestP(p, &flit.Packet{
 				Chan: flit.ChIO, Op: flit.OpIORd, Dst: sh.Dev.Port,
 				Addr: iaddr, ReqLen: uint32(s.recSize),
-			}, s.cfg.RetryAttempts, s.cfg.RetryBackoff).Await(p)
+			}, s.cfg.RetryAttempts, s.cfg.RetryBackoff)
 			if err != nil {
 				return out, fmt.Errorf("scan shard %d slot %d: %w", si, slot, err)
 			}

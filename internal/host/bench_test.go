@@ -34,3 +34,19 @@ func BenchmarkLocalMiss(b *testing.B) {
 	})
 	eng.Run()
 }
+
+// BenchmarkRemoteMiss measures a warm remote miss through Load64P on
+// the one-switch Table 2 rig: the MSHR fill's round trip to the FAM.
+func BenchmarkRemoteMiss(b *testing.B) {
+	eng, h, _ := rig(b, nil)
+	eng.Go("loader", func(p *sim.Proc) {
+		for i := range 256 {
+			h.Load64P(p, remoteMissAddr(i))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Load64P(p, remoteMissAddr(i))
+		}
+	})
+	eng.Run()
+}

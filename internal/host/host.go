@@ -65,16 +65,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// accessDone receives the L1 line once an access commits, with missed
+// reporting whether the access went all the way to memory, or a nil
+// line and the typed error of the fill that failed.
+type accessDone func(l *line, missed bool, err error)
+
 // mshrWaiter is one access merged into an outstanding fill.
 type mshrWaiter struct {
 	write bool
-	done  func(l *line, missed bool)
+	done  accessDone
 }
 
-// mshr tracks one outstanding line fill and its merged waiters. Its
-// fetch/fill steps are bound once at construction and the record is
-// recycled through the host free list, so a full miss allocates only
-// its remote request packet.
+// mshr tracks one outstanding line fill and its merged waiters. It is
+// recycled through the host free list with its remote request packet
+// embedded, and its remote fill completes through txn's completion
+// form, so a full miss allocates nothing on the host side.
 type mshr struct {
 	h        *Host
 	lineAddr uint64
@@ -82,15 +87,12 @@ type mshr struct {
 	waiters  []mshrWaiter
 	buf      [LineSize]byte
 	ev       victim
+	req      flit.Packet // the remote fill's request; txn's until the fill resolves
 	resp     *flit.Packet
 	next     *mshr
 
 	dramDone  func()
-	sendReq   func()
-	respDone  func(*flit.Packet, error)
-	respDelay func()
 	vbGranted func()
-	req       *flit.Packet
 }
 
 // Host is one host server: core, caches, local memory, and FHA.
@@ -247,7 +249,7 @@ type accessOp struct {
 	write    bool
 	l1Lat    sim.Time
 	l2Lat    sim.Time
-	done     func(l *line, missed bool)
+	done     accessDone
 	buf      [LineSize]byte
 	next     *accessOp
 
@@ -283,8 +285,8 @@ func (h *Host) putAccessOp(op *accessOp) {
 // access performs one cached load or store of the line containing addr.
 // done receives the L1 line after the access commits; missed reports
 // whether the access went all the way to memory (stores pay their
-// commit cost only on that path).
-func (h *Host) access(addr uint64, write bool, done func(l *line, missed bool)) {
+// commit cost only on that path). A failed fill hands done its error.
+func (h *Host) access(addr uint64, write bool, done accessDone) {
 	lineAddr := addr & LineMask
 	if write {
 		h.Stores.Inc()
@@ -314,7 +316,7 @@ func (op *accessOp) lookupL1() {
 		done := op.done
 		h.putAccessOp(op)
 		h.issue.Release()
-		done(l, false)
+		done(l, false, nil)
 		return
 	}
 	h.eng.After(op.l2Lat, op.l2Step)
@@ -338,7 +340,7 @@ func (op *accessOp) lookupL2() {
 		done := op.done
 		h.putAccessOp(op)
 		h.issue.Release()
-		done(l, false)
+		done(l, false, nil)
 		return
 	}
 	// Full miss. Victim-buffer forwarding: the line may be in flight to
@@ -359,7 +361,7 @@ func (op *accessOp) vbInstalled(l *line) {
 	done := op.done
 	h.putAccessOp(op)
 	h.issue.Release()
-	done(l, false)
+	done(l, false, nil)
 }
 
 // startFill runs with an MSHR slot held: registers the fill and kicks
@@ -404,19 +406,6 @@ func (h *Host) getMSHR() *mshr {
 	if m == nil {
 		m = &mshr{h: h}
 		m.dramDone = m.install
-		m.sendReq = func() { m.h.ep.Request(m.req).OnComplete(m.respDone) }
-		m.respDone = func(resp *flit.Packet, err error) {
-			if err != nil {
-				panic("host: remote read failed: " + err.Error())
-			}
-			m.resp = resp
-			m.h.eng.After(m.h.cfg.FHALat, m.respDelay)
-		}
-		m.respDelay = func() {
-			copy(m.buf[:], m.resp.Data)
-			m.req, m.resp = nil, nil
-			m.install()
-		}
 		m.vbGranted = func() {
 			h := m.h
 			h.vb.data[m.ev.addr] = m.ev.data
@@ -432,7 +421,7 @@ func (h *Host) getMSHR() *mshr {
 
 func (h *Host) putMSHR(m *mshr) {
 	m.waiters = m.waiters[:0]
-	m.req, m.resp = nil, nil
+	m.resp = nil
 	m.next = h.mshrFree
 	h.mshrFree = m
 }
@@ -462,9 +451,34 @@ func (h *Host) fetchLine(m *mshr) {
 		return
 	}
 	h.RemoteReads.Inc()
-	m.req = &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: r.Port,
+	m.req = flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: r.Port,
 		Addr: r.DevAddr(m.lineAddr), ReqLen: LineSize}
-	h.eng.After(h.cfg.FHALat, m.sendReq)
+	h.eng.After2(h.cfg.FHALat, mshrSend, m)
+}
+
+// mshrSend sends m's remote fill once the FHA has processed it.
+func mshrSend(a any) {
+	m := a.(*mshr)
+	m.h.ep.RequestFn(&m.req, 0, 0, mshrFilled, m)
+}
+
+// mshrFilled brings the fill's response back through the FHA, or fails
+// the fill with the request's typed error.
+func mshrFilled(a any, resp *flit.Packet, err error) {
+	m := a.(*mshr)
+	if err != nil {
+		m.fail(err)
+		return
+	}
+	m.resp = resp
+	m.h.eng.After2(m.h.cfg.FHALat, mshrArrived, m)
+}
+
+func mshrArrived(a any) {
+	m := a.(*mshr)
+	copy(m.buf[:], m.resp.Data)
+	m.resp = nil
+	m.install()
 }
 
 // install inserts the fetched line into L2, draining any dirty victim
@@ -498,7 +512,21 @@ func (m *mshr) fillDone() {
 		if w.write {
 			l.dirty = true
 		}
-		w.done(l, true)
+		w.done(l, true, nil)
+	}
+	h.putMSHR(m)
+}
+
+// fail ends a fill whose request failed: the MSHR frees its slot,
+// installs nothing, and fails every merged waiter with err. A prefetch
+// nothing merged into just frees its slot.
+func (m *mshr) fail(err error) {
+	h := m.h
+	waiters := m.waiters
+	h.removeMSHR(m)
+	h.mshrSem.Release()
+	for i := range waiters {
+		waiters[i].done(nil, true, err)
 	}
 	h.putMSHR(m)
 }

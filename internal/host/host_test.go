@@ -18,7 +18,7 @@ const remoteBase = 1 << 30
 
 // rig builds one host + one FAM behind one switch, all defaults — the
 // Table 2 calibration topology.
-func rig(t *testing.T, mut func(*Config)) (*sim.Engine, *Host, *mem.FAM) {
+func rig(t testing.TB, mut func(*Config)) (*sim.Engine, *Host, *mem.FAM) {
 	t.Helper()
 	eng := sim.NewEngine()
 	b := fabric.NewBuilder(eng)
@@ -428,6 +428,97 @@ func TestLostWritesFail(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedFillIsTyped fences the FAM under a host whose endpoint
+// times out after 5 µs, with the prefetcher on. A load whose fill times
+// out, the load merged into it and the store behind them fail with
+// ErrTimeout; the MSHRs (the demand fill's and the prefetches') are all
+// freed and the run drains. After the fence lifts, the line loads the
+// value stored before it.
+func TestFailedFillIsTyped(t *testing.T) {
+	eng, h, f := rig(t, func(c *Config) { c.PrefetchDepth = 2 })
+	h.Endpoint().Timeout = 5 * sim.Microsecond
+	st := sim.NewStats("host0")
+	h.RegisterStats(st)
+	const addr = remoteBase + 0x2000
+	eng.Go("writer", func(p *sim.Proc) {
+		h.Store64P(p, addr, 42)
+		if _, err := h.FlushLine(addr).Await(p); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Run()
+	f.Fail()
+	var errs [3]error
+	h.Load64(addr).OnComplete(func(_ uint64, err error) { errs[0] = err })
+	h.Load64(addr + 8).OnComplete(func(_ uint64, err error) { errs[1] = err })
+	h.Store64(addr+16, 7).OnComplete(func(_ struct{}, err error) { errs[2] = err })
+	eng.Run()
+	for i, what := range []string{"load", "merged load", "merged store"} {
+		if !errors.Is(errs[i], txn.ErrTimeout) {
+			t.Errorf("%s from a fenced FAM ended with %v, want %v", what, errs[i], txn.ErrTimeout)
+		}
+	}
+	if h.MSHRMerges.Value() != 2 || h.PrefIssued.Value() == 0 {
+		t.Errorf("merges %d, prefetches %d: want the load and store merged and a prefetch issued",
+			h.MSHRMerges.Value(), h.PrefIssued.Value())
+	}
+	if dump := st.Dump(); !strings.Contains(dump, "mshrs_in_use = 0\n") {
+		t.Errorf("failed fills left MSHRs held:\n%s", dump)
+	}
+	f.Recover()
+	var v uint64
+	eng.Go("reader", func(p *sim.Proc) { v = h.Load64P(p, addr) })
+	eng.Run()
+	if v != 42 {
+		t.Fatalf("load after the fence lifted = %d, want 42", v)
+	}
+}
+
+// TestBlockingAccessAllocCeiling pins the cached load/store path's
+// allocation floor through the blocking forms. A warm L1 hit through
+// Load64P or Store64P allocates nothing: the op, its future and the
+// access record are pooled. A warm remote miss through Load64P
+// allocates only the packets the links decode, the request at the FAM
+// and the response at the host: the MSHR carries the request packet,
+// and the txn record is pooled, with or without an endpoint timeout.
+func TestBlockingAccessAllocCeiling(t *testing.T) {
+	for _, timeout := range []sim.Time{0, 25 * sim.Microsecond} {
+		eng, h, _ := rig(t, nil)
+		h.Endpoint().Timeout = timeout
+		var hit, store, miss float64
+		eng.Go("accessor", func(p *sim.Proc) {
+			h.Load64P(p, 0x1000)
+			h.Store64P(p, 0x1000, 1)
+			hit = testing.AllocsPerRun(100, func() { h.Load64P(p, 0x1000) })
+			store = testing.AllocsPerRun(100, func() { h.Store64P(p, 0x1000, 2) })
+			i := 0
+			next := func() uint64 { i++; return remoteMissAddr(i) }
+			for range 256 {
+				h.Load64P(p, next())
+			}
+			reads := h.RemoteReads.Value()
+			miss = testing.AllocsPerRun(100, func() { h.Load64P(p, next()) })
+			if n := h.RemoteReads.Value() - reads; n != 101 {
+				t.Errorf("101 loads of the miss stream made %d remote reads", n)
+			}
+		})
+		eng.Run()
+		t.Logf("timeout %v: %.2f allocs per L1 load hit, %.2f per store hit, %.2f per remote miss", timeout, hit, store, miss)
+		if hit != 0 || store != 0 {
+			t.Errorf("timeout %v: warm L1 hit allocates %.2f through Load64P and %.2f through Store64P, want 0",
+				timeout, hit, store)
+		}
+		if miss > 2 {
+			t.Errorf("timeout %v: warm remote miss allocates %.2f through Load64P, want <= 2", timeout, miss)
+		}
+	}
+}
+
+// remoteMissAddr is the i-th address of a stream that misses both
+// cache levels on every load: lines 64 KiB apart share one L1 set and
+// one L2 set, and 32 of them overflow both sets' ways.
+func remoteMissAddr(i int) uint64 { return remoteBase + uint64(i%32)<<16 }
 
 func TestWriteBufReadBufRoundTrip(t *testing.T) {
 	eng, h, _ := rig(t, nil)

@@ -14,84 +14,135 @@ import (
 // Futures for asynchronous model code; *P variants block a sim.Proc —
 // the natural notation for workload drivers.
 
-// loadOp and storeOp recycle the completion state of the 64-bit
-// load/store fast paths; their callbacks are bound once at construction,
-// so in steady state an access allocates only its result future.
+// loadOp and storeOp carry the 64-bit load/store fast paths. Their
+// callbacks are bound once at construction and they recycle through the
+// host's free lists. Load64 and Store64 hand the outcome to a fresh
+// future the caller owns, recycling the op before they resolve it;
+// Load64P and Store64P await the future embedded in the op, zeroed for
+// each use, and recycle the op once Await returns, so a blocking access
+// allocates nothing.
 type loadOp struct {
 	h    *Host
 	addr uint64
-	f    *sim.Future[uint64]
+	out  *sim.Future[uint64] // Load64's future; nil when Load64P awaits f
+	f    sim.Future[uint64]
 	next *loadOp
-	done func(l *line, missed bool)
+	done accessDone
 }
 
 type storeOp struct {
-	h      *Host
-	addr   uint64
-	v      uint64
-	f      *sim.Future[struct{}]
-	next   *storeOp
-	done   func(l *line, missed bool)
-	commit func()
+	h    *Host
+	addr uint64
+	v    uint64
+	out  *sim.Future[struct{}] // Store64's future; nil when Store64P awaits f
+	f    sim.Future[struct{}]
+	next *storeOp
+	done accessDone
 }
 
-// Load64 reads the little-endian uint64 at addr through the caches.
-func (h *Host) Load64(addr uint64) *sim.Future[uint64] {
+// load starts a Load64 of addr whose outcome goes to out, or to the
+// op's own future when out is nil.
+func (h *Host) load(addr uint64, out *sim.Future[uint64]) *loadOp {
 	if addr&7 != 0 {
 		panic(fmt.Sprintf("host: unaligned Load64 at %#x", addr))
 	}
-	f := sim.NewFuture[uint64]()
 	op := h.loadFree
 	if op == nil {
 		op = &loadOp{h: h}
-		op.done = func(l *line, _ bool) {
-			v := binary.LittleEndian.Uint64(l.data[op.addr&(LineSize-1):])
-			ff := op.f
-			op.f = nil
-			op.next = op.h.loadFree
-			op.h.loadFree = op
-			ff.Complete(v)
-		}
+		op.done = op.loaded
 	} else {
 		h.loadFree = op.next
 		op.next = nil
 	}
-	op.addr, op.f = addr, f
+	op.addr, op.out, op.f = addr, out, sim.Future[uint64]{}
 	h.access(addr, false, op.done)
-	return f
+	return op
 }
 
-// Store64 writes v at addr through the caches (write-allocate,
-// write-back). The future resolves when the store commits into L1.
-func (h *Host) Store64(addr uint64, v uint64) *sim.Future[struct{}] {
+func (op *loadOp) loaded(l *line, _ bool, err error) {
+	var v uint64
+	if err == nil {
+		v = binary.LittleEndian.Uint64(l.data[op.addr&(LineSize-1):])
+	}
+	out := op.out
+	if out == nil {
+		settle(&op.f, v, err)
+		return
+	}
+	op.out = nil
+	op.h.putLoadOp(op)
+	settle(out, v, err)
+}
+
+func (h *Host) putLoadOp(op *loadOp) {
+	op.next = h.loadFree
+	h.loadFree = op
+}
+
+// store starts a Store64 of v at addr whose outcome goes to out, or to
+// the op's own future when out is nil.
+func (h *Host) store(addr, v uint64, out *sim.Future[struct{}]) *storeOp {
 	if addr&7 != 0 {
 		panic(fmt.Sprintf("host: unaligned Store64 at %#x", addr))
 	}
-	f := sim.NewFuture[struct{}]()
 	op := h.stFree
 	if op == nil {
 		op = &storeOp{h: h}
-		op.commit = func() {
-			ff := op.f
-			op.f = nil
-			op.next = op.h.stFree
-			op.h.stFree = op
-			ff.Complete(struct{}{})
-		}
-		op.done = func(l *line, missed bool) {
-			binary.LittleEndian.PutUint64(l.data[op.addr&(LineSize-1):], op.v)
-			if missed {
-				op.h.eng.After(op.h.cfg.StoreCommit, op.commit)
-			} else {
-				op.commit()
-			}
-		}
+		op.done = op.stored
 	} else {
 		h.stFree = op.next
 		op.next = nil
 	}
-	op.addr, op.v, op.f = addr, v, f
+	op.addr, op.v, op.out, op.f = addr, v, out, sim.Future[struct{}]{}
 	h.access(addr, true, op.done)
+	return op
+}
+
+func (op *storeOp) stored(l *line, missed bool, err error) {
+	if err != nil {
+		op.finish(err)
+		return
+	}
+	binary.LittleEndian.PutUint64(l.data[op.addr&(LineSize-1):], op.v)
+	if missed {
+		op.h.eng.After2(op.h.cfg.StoreCommit, storeCommitted, op)
+		return
+	}
+	op.finish(nil)
+}
+
+func storeCommitted(a any) { a.(*storeOp).finish(nil) }
+
+func (op *storeOp) finish(err error) {
+	out := op.out
+	if out == nil {
+		settle(&op.f, struct{}{}, err)
+		return
+	}
+	op.out = nil
+	op.h.putStoreOp(op)
+	settle(out, struct{}{}, err)
+}
+
+func (h *Host) putStoreOp(op *storeOp) {
+	op.next = h.stFree
+	h.stFree = op
+}
+
+// Load64 reads the little-endian uint64 at addr through the caches. The
+// future fails with the fill's typed error if the line's fill fails.
+func (h *Host) Load64(addr uint64) *sim.Future[uint64] {
+	f := sim.NewFuture[uint64]()
+	h.load(addr, f)
+	return f
+}
+
+// Store64 writes v at addr through the caches (write-allocate,
+// write-back). The future resolves when the store commits into L1, or
+// fails with the fill's typed error if the line's fill fails.
+func (h *Host) Store64(addr uint64, v uint64) *sim.Future[struct{}] {
+	f := sim.NewFuture[struct{}]()
+	h.store(addr, v, f)
 	return f
 }
 
@@ -101,7 +152,11 @@ func (h *Host) LoadBytes(addr uint64, n int) *sim.Future[[]byte] {
 		panic(fmt.Sprintf("host: LoadBytes [%#x,+%d) crosses a line", addr, n))
 	}
 	f := sim.NewFuture[[]byte]()
-	h.access(addr, false, func(l *line, _ bool) {
+	h.access(addr, false, func(l *line, _ bool, err error) {
+		if err != nil {
+			f.Fail(err)
+			return
+		}
 		off := addr & (LineSize - 1)
 		f.Complete(append([]byte(nil), l.data[off:off+uint64(n)]...))
 	})
@@ -114,7 +169,11 @@ func (h *Host) StoreBytes(addr uint64, data []byte) *sim.Future[struct{}] {
 		panic(fmt.Sprintf("host: StoreBytes [%#x,+%d) crosses a line", addr, len(data)))
 	}
 	f := sim.NewFuture[struct{}]()
-	h.access(addr, true, func(l *line, missed bool) {
+	h.access(addr, true, func(l *line, missed bool, err error) {
+		if err != nil {
+			f.Fail(err)
+			return
+		}
 		copy(l.data[addr&(LineSize-1):], data)
 		if missed {
 			h.eng.After(h.cfg.StoreCommit, func() { f.Complete(struct{}{}) })
@@ -125,11 +184,21 @@ func (h *Host) StoreBytes(addr uint64, data []byte) *sim.Future[struct{}] {
 	return f
 }
 
-// Load64P is the blocking form of Load64.
-func (h *Host) Load64P(p *sim.Proc, addr uint64) uint64 { return h.Load64(addr).MustAwait(p) }
+// Load64P is the blocking form of Load64; it panics if the fill fails.
+func (h *Host) Load64P(p *sim.Proc, addr uint64) uint64 {
+	op := h.load(addr, nil)
+	v := op.f.MustAwait(p)
+	h.putLoadOp(op)
+	return v
+}
 
-// Store64P is the blocking form of Store64.
-func (h *Host) Store64P(p *sim.Proc, addr uint64, v uint64) { h.Store64(addr, v).MustAwait(p) }
+// Store64P is the blocking form of Store64; it panics if the fill
+// fails.
+func (h *Host) Store64P(p *sim.Proc, addr uint64, v uint64) {
+	op := h.store(addr, v, nil)
+	op.f.MustAwait(p)
+	h.putStoreOp(op)
+}
 
 // ReadBufP reads an arbitrary buffer through the caches, line by line.
 func (h *Host) ReadBufP(p *sim.Proc, addr uint64, buf []byte) {
@@ -192,7 +261,7 @@ func (h *Host) FlushLine(addr uint64) *sim.Future[struct{}] {
 	req := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemWr, Dst: r.Port,
 		Addr: r.DevAddr(lineAddr), Size: LineSize, Data: append([]byte(nil), dirtyData[:]...)}
 	h.eng.After(h.cfg.FHALat, func() {
-		h.ep.Request(req).OnComplete(func(_ *flit.Packet, err error) { settle(f, err) })
+		h.ep.Request(req).OnComplete(func(_ *flit.Packet, err error) { settle(f, struct{}{}, err) })
 	})
 	return f
 }
@@ -309,18 +378,18 @@ func (h *Host) UncachedWrite(addr uint64, data []byte) *sim.Future[struct{}] {
 	req := &flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr, Dst: r.Port,
 		Addr: r.DevAddr(addr), Size: uint32(len(data)), Data: append([]byte(nil), data...)}
 	h.eng.After(h.cfg.FHALat, func() {
-		h.ep.Request(req).OnComplete(func(_ *flit.Packet, err error) { settle(f, err) })
+		h.ep.Request(req).OnComplete(func(_ *flit.Packet, err error) { settle(f, struct{}{}, err) })
 	})
 	return f
 }
 
-// settle completes f, or fails it with err when there is one.
-func settle(f *sim.Future[struct{}], err error) {
+// settle completes f with v, or fails it with err when there is one.
+func settle[T any](f *sim.Future[T], v T, err error) {
 	if err != nil {
 		f.Fail(err)
 		return
 	}
-	f.Complete(struct{}{})
+	f.Complete(v)
 }
 
 // UncachedReadBigP reads an arbitrary-size buffer uncached, in

@@ -12,8 +12,8 @@ import (
 // retryOracle is RequestRetry as a closure chain over Request: an outer
 // future, a closure per attempt, and a copy of the packet per attempt.
 // It is how RequestRetry was written before the retry budget moved into
-// the request's timer record, and FuzzRequestRetry holds the one
-// request path to it.
+// the request's record, and FuzzRequestRetry holds every request form
+// to it.
 func retryOracle(e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time) *sim.Future[*flit.Packet] {
 	if attempts <= 0 {
 		attempts = 1
@@ -43,7 +43,34 @@ func retryOracle(e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time) 
 	return f
 }
 
-type retryFunc func(e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time) *sim.Future[*flit.Packet]
+// retryForm issues one retried request from process p, at the instant
+// p runs, and reports how it ended to done.
+type retryForm func(p *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error))
+
+func oracleForm(_ *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
+	retryOracle(e, pkt, attempts, backoff).OnComplete(done)
+}
+
+// The request forms under test. The completion and blocking forms take
+// RequestRetry's budget as at least one attempt, as RequestRetry does.
+var retryForms = []struct {
+	name string
+	form retryForm
+}{
+	{"RequestRetry", func(_ *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
+		e.RequestRetry(pkt, attempts, backoff).OnComplete(done)
+	}},
+	{"RequestFn", func(_ *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
+		e.RequestFn(pkt, max(attempts, 1), backoff, callDone, done)
+	}},
+	{"RequestP", func(p *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
+		done(e.RequestP(p, pkt, max(attempts, 1), backoff))
+	}},
+}
+
+// callDone is the fuzz harness's RequestFn completion: arg is the
+// outcome callback.
+func callDone(arg any, resp *flit.Packet, err error) { arg.(func(*flit.Packet, error))(resp, err) }
 
 // retryCase is one fuzz input decoded: the retry budget and timing, the
 // window, the requests, and what the serving endpoint does with each
@@ -86,11 +113,13 @@ const (
 	actAfterNext        // answer once the next attempt has gone
 )
 
-// runRetry issues c's requests through request on a fresh pair and logs
+// runRetry issues c's requests through form on a fresh pair and logs
 // every arrival at the server and every completion at the initiator,
 // each with the initiator's counters at that instant, then the final
-// books and clock.
-func runRetry(t *testing.T, c retryCase, request retryFunc) []string {
+// books and clock. Each request has a process of its own, started at
+// time 0 and woken by an event at its issue time, so the blocking form
+// issues at the same point in the event order as the others.
+func runRetry(t *testing.T, c retryCase, form retryForm) []string {
 	eng, a, b := pair(t, c.maxTags)
 	a.Timeout = c.timeout
 	var log []string
@@ -129,12 +158,15 @@ func runRetry(t *testing.T, c retryCase, request retryFunc) []string {
 	}
 	done := 0
 	for i := 0; i < c.reqs; i++ {
-		eng.At(sim.Time(i)*c.stagger, func() {
+		start := sim.NewFuture[struct{}]()
+		eng.At(sim.Time(i)*c.stagger, func() { start.Complete(struct{}{}) })
+		eng.Go(fmt.Sprint("req", i), func(p *sim.Proc) {
+			start.MustAwait(p)
 			pkt := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemRd, Dst: 2, Addr: uint64(i) * 64}
 			if i%3 == 2 {
 				pkt.Op, pkt.Size, pkt.Data = flit.OpMemWr, 8, []byte{byte(i), 1, 2, 3, 4, 5, 6, 7}
 			}
-			request(a, pkt, c.attempts, c.backoff).OnComplete(func(resp *flit.Packet, err error) {
+			form(p, a, pkt, c.attempts, c.backoff, func(resp *flit.Packet, err error) {
 				done++
 				out := fmt.Sprint("err=", err)
 				if err == nil {
@@ -149,27 +181,32 @@ func runRetry(t *testing.T, c retryCase, request retryFunc) []string {
 		eng.Now(), done, a.Outstanding(), a.Tombstones(), a.tags.InUse(), counters()))
 }
 
-// FuzzRequestRetry holds RequestRetry to its closure-chain oracle: for
-// any retry budget, backoff, timeout, window and mix of dropped, timely,
-// late and very late answers, both must resolve every request at the
-// same instant with the same response or error text, move the
-// endpoint's counters at the same instants, and leave the same books
-// and clock.
+// FuzzRequestRetry holds every request form (RequestRetry, the
+// completion form RequestFn and the blocking form RequestP) to the
+// closure-chain oracle: for any retry budget, backoff, timeout, window
+// and mix of dropped, timely, late and very late answers, each must
+// resolve every request at the same instant with the same response or
+// error text, move the endpoint's counters at the same instants, and
+// leave the same books and clock. A stagger shorter than the timeout
+// reuses records that responses retired while their stale timeouts are
+// still pending.
 func FuzzRequestRetry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeRetryCase(data)
-		got := runRetry(t, c, (*Endpoint).RequestRetry)
-		want := runRetry(t, c, retryOracle)
-		for i := range max(len(got), len(want)) {
-			var g, w string
-			if i < len(got) {
-				g = got[i]
-			}
-			if i < len(want) {
-				w = want[i]
-			}
-			if g != w {
-				t.Fatalf("%+v: line %d differs\n got: %s\nwant: %s", c, i, g, w)
+		want := runRetry(t, c, oracleForm)
+		for _, rf := range retryForms {
+			got := runRetry(t, c, rf.form)
+			for i := range max(len(got), len(want)) {
+				var g, w string
+				if i < len(got) {
+					g = got[i]
+				}
+				if i < len(want) {
+					w = want[i]
+				}
+				if g != w {
+					t.Fatalf("%s %+v: line %d differs\n got: %s\nwant: %s", rf.name, c, i, g, w)
+				}
 			}
 		}
 	})

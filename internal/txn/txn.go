@@ -64,13 +64,13 @@ type Endpoint struct {
 	tags *sim.Semaphore
 	next uint16
 
-	// pend is the dense tag table: pend[tag] is the future awaiting that
-	// tag's response, nil when free — one load to match a response, no
-	// map hashing. It grows geometrically toward the full 64K tag space
+	// pend is the dense tag table: pend[tag] is the request awaiting
+	// that tag's response, nil when free — one load to match a response,
+	// no map hashing. It grows geometrically toward the full 64K tag space
 	// as the bump allocator hands out higher tags, so a short-lived
 	// endpoint (a benchmark iteration, a test rig) pays for a window's
 	// worth of slots rather than half a megabyte up front.
-	pend  []*sim.Future[*flit.Packet]
+	pend  []*request
 	npend int
 
 	// tomb is a bitset over tags whose request timed out but whose
@@ -87,15 +87,19 @@ type Endpoint struct {
 	// pops from here first and falls back to the monotonic bump pointer.
 	freeTags sim.Queue[uint16]
 
-	// Free lists recycling the per-request timeout records and the
+	// Free lists recycling the per-request records and the
 	// per-inbound-request reply contexts, so the steady-state request
-	// and serve paths allocate neither.
-	timerFree *reqTimer
+	// and serve paths allocate neither. minted counts the request
+	// records ever made.
+	reqFree   *request
 	replyFree *replyCtx
+	minted    int
 
 	// Timeout, when > 0, bounds each request's wait for its response;
-	// expiry fails the future with ErrTimeout. Zero (the default) waits
-	// forever — the right semantics for a fabric that cannot fail.
+	// expiry fails the request with ErrTimeout. Zero (the default) waits
+	// forever — the right semantics for a fabric that cannot fail. Set
+	// it before the first request: a record's stale timeout is told
+	// from its reuse's by deadline, which a shorter Timeout could match.
 	Timeout sim.Time
 
 	// Handler serves inbound requests. It may be nil for pure
@@ -141,7 +145,7 @@ func (e *Endpoint) growPend(t uint16) {
 	if n > 1<<16 {
 		n = 1 << 16
 	}
-	grown := make([]*sim.Future[*flit.Packet], n)
+	grown := make([]*request, n)
 	copy(grown, e.pend)
 	e.pend = grown
 }
@@ -233,8 +237,8 @@ func (e *Endpoint) getReplyCtx() *replyCtx {
 }
 
 // Dispatch routes an inbound packet: responses complete their pending
-// future, or fail it with ErrRefused when the device answered OpMemErr;
-// requests go to the Handler.
+// request, or fail it with ErrRefused when the device answered
+// OpMemErr; requests go to the Handler.
 func (e *Endpoint) Dispatch(pkt *flit.Packet) {
 	if pkt.Op.IsRequest() {
 		if e.Handler == nil {
@@ -243,11 +247,11 @@ func (e *Endpoint) Dispatch(pkt *flit.Packet) {
 		e.Handler(pkt, e.getReplyCtx().fn)
 		return
 	}
-	var f *sim.Future[*flit.Packet]
+	var r *request
 	if int(pkt.Tag) < len(e.pend) {
-		f = e.pend[pkt.Tag]
+		r = e.pend[pkt.Tag]
 	}
-	if f == nil {
+	if r == nil {
 		if e.tombed(pkt.Tag) {
 			e.clearTomb(pkt.Tag)
 			e.freeTags.Push(pkt.Tag)
@@ -262,69 +266,99 @@ func (e *Endpoint) Dispatch(pkt *flit.Packet) {
 	e.tags.Release()
 	e.RespsRecv.Inc()
 	if pkt.Op == flit.OpMemErr {
-		f.Fail(fmt.Errorf("%w by device %d at %#x", ErrRefused, pkt.Src, pkt.Addr))
+		e.resolve(r, nil, fmt.Errorf("%w by device %d at %#x", ErrRefused, pkt.Src, pkt.Addr))
 		return
 	}
-	f.Complete(pkt)
+	e.resolve(r, pkt, nil)
 }
 
-// reqTimer is the pooled state of a request with a timeout: its packet,
-// future and retry budget. One event owns it at a time, the pending
-// timeout or the pending re-send (both closure-free via After2), and it
-// returns to the free list from the timeout that ends the request or
-// finds it answered.
-type reqTimer struct {
+// request is the pooled record of one request, from the call that
+// sends it to the response, refusal or final timeout that resolves it.
+// It holds the caller's packet, the retry budget, the deadline stamp of
+// its armed timeout and the caller's completion, and RequestP awaits
+// the future embedded in it. The record returns to the endpoint's free
+// list the moment its request resolves, before the completion runs, so
+// a free list holds at most the peak number of requests in flight. A
+// timeout event outlives the record's use when a response came first:
+// it fires for a record that no longer carries its deadline (retired,
+// or reused by a later request whose deadline lies later still, since
+// every request on an endpoint shares one Timeout and a response takes
+// time to arrive), and does nothing.
+type request struct {
 	e        *Endpoint
-	f        *sim.Future[*flit.Packet]
 	pkt      *flit.Packet
+	done     func(arg any, resp *flit.Packet, err error)
+	arg      any
+	deadline sim.Time // when the armed timeout fires; 0 while none is armed
 	backoff  sim.Time // wait before the next re-send; doubles per attempt
 	n        int32    // attempts sent
 	attempts int32    // the budget; 0 marks a plain Request
-	next     *reqTimer
+	next     *request
+	f        sim.Future[*flit.Packet] // RequestP's; zeroed per use
 }
 
-func reqTimerFire(a any) {
-	t := a.(*reqTimer)
-	e, pkt := t.e, t.pkt
-	// Pointer compare: only time out if THIS request is still the one
-	// pending on the tag (a tombstoned tag cannot have been reused). Once
-	// answered, pkt is the caller's again: bounds-check what it says.
-	if tag := pkt.Tag; int(tag) < len(e.pend) && e.pend[tag] == t.f {
-		e.pend[tag] = nil
-		e.npend--
-		e.setTomb(tag)
-		e.tags.Release()
-		e.Timeouts.Inc()
-		if t.n < t.attempts {
-			e.Retries.Inc()
-			e.eng.After2(t.backoff, reqTimerResend, t)
-			return
-		}
-		err := fmt.Errorf("%w: %v to %d after %v", ErrTimeout, pkt.Op, pkt.Dst, e.Timeout)
-		if t.attempts > 0 {
-			err = fmt.Errorf("%w: %d attempts: %w", ErrDeviceDown, t.n, err)
-		}
-		t.f.Fail(err)
+func requestTimeout(a any) {
+	r := a.(*request)
+	e := r.e
+	if r.deadline != e.eng.Now() {
+		return // resolved before its deadline; the record has moved on
 	}
-	t.f, t.pkt = nil, nil
-	t.next = e.timerFree
-	e.timerFree = t
+	r.deadline = 0
+	pkt := r.pkt
+	e.pend[pkt.Tag] = nil
+	e.npend--
+	e.setTomb(pkt.Tag)
+	e.tags.Release()
+	e.Timeouts.Inc()
+	if r.n < r.attempts {
+		e.Retries.Inc()
+		e.eng.After2(r.backoff, requestResend, r)
+		return
+	}
+	err := fmt.Errorf("%w: %v to %d after %v", ErrTimeout, pkt.Op, pkt.Dst, e.Timeout)
+	if r.attempts > 0 {
+		err = fmt.Errorf("%w: %d attempts: %w", ErrDeviceDown, r.n, err)
+	}
+	e.resolve(r, nil, err)
 }
 
-func reqTimerResend(a any) {
-	t := a.(*reqTimer)
-	t.backoff *= 2
-	t.e.acquire(t.pkt, t.f, t)
+func requestResend(a any) {
+	r := a.(*request)
+	r.backoff *= 2
+	r.e.acquire(r)
+}
+
+// resolve retires r to the free list and then runs its completion:
+// nothing reads r after the call that may wake its process.
+func (e *Endpoint) resolve(r *request, resp *flit.Packet, err error) {
+	done, arg := r.done, r.arg
+	r.pkt, r.done, r.arg, r.deadline = nil, nil, nil, 0
+	r.next = e.reqFree
+	e.reqFree = r
+	done(arg, resp, err)
+}
+
+// settle is the completion of the future forms: it resolves the future
+// in arg with the outcome.
+func settle(arg any, resp *flit.Packet, err error) {
+	f := arg.(*sim.Future[*flit.Packet])
+	if err != nil {
+		f.Fail(err)
+		return
+	}
+	f.Complete(resp)
 }
 
 // Request sends a request packet (Src and Tag are filled in) and returns
 // a future resolving to the response. If the outstanding window is full,
 // the send waits for a tag — the future covers that wait too, exactly
-// like a full MSHR stalls a real pipeline. With a Timeout, expiry reads
-// the tag, op and destination back from pkt, so pkt must stay unchanged
+// like a full MSHR stalls a real pipeline. It is RequestFn with no retry
+// and a fresh future as the completion, so pkt must stay unchanged
 // until the future resolves.
 func (e *Endpoint) Request(pkt *flit.Packet) *sim.Future[*flit.Packet] {
-	return e.request(pkt, 0, 0)
+	f := sim.NewFuture[*flit.Packet]()
+	e.RequestFn(pkt, 0, 0, settle, f)
+	return f
 }
 
 // RequestRetry sends a request with bounded retry: when an attempt times
@@ -337,56 +371,81 @@ func (e *Endpoint) Request(pkt *flit.Packet) *sim.Future[*flit.Packet] {
 // re-send reuses the caller's packet: pkt and its Data must stay
 // unchanged until the future resolves.
 func (e *Endpoint) RequestRetry(pkt *flit.Packet, attempts int, backoff sim.Time) *sim.Future[*flit.Packet] {
-	return e.request(pkt, max(attempts, 1), backoff)
-}
-
-// request is the one request path; attempts 0 is a plain Request, whose
-// timeout fails the future with the bare ErrTimeout.
-func (e *Endpoint) request(pkt *flit.Packet, attempts int, backoff sim.Time) *sim.Future[*flit.Packet] {
-	if !pkt.Op.IsRequest() {
-		panic("txn: Request with non-request op " + pkt.Op.String())
-	}
 	f := sim.NewFuture[*flit.Packet]()
-	var t *reqTimer
-	if e.Timeout > 0 {
-		t = e.timerFree
-		if t == nil {
-			t = &reqTimer{e: e}
-		} else {
-			e.timerFree = t.next
-			t.next = nil
-		}
-		t.f, t.pkt, t.backoff, t.n, t.attempts = f, pkt, backoff, 0, int32(min(attempts, math.MaxInt32))
-	}
-	e.acquire(pkt, f, t)
+	e.RequestFn(pkt, max(attempts, 1), backoff, settle, f)
 	return f
 }
 
-// acquire sends pkt once a window slot is free.
-func (e *Endpoint) acquire(pkt *flit.Packet, f *sim.Future[*flit.Packet], t *reqTimer) {
-	if e.tags.TryAcquire() {
-		e.send(pkt, f, t)
+// RequestFn is the one request path. It sends pkt (Src and Tag are
+// filled in) once a window slot is free and calls done(arg, resp, nil)
+// with the response, or done(arg, nil, err) with a typed error, exactly
+// once. attempts 0 makes it a plain Request, whose timeout fails with
+// the bare ErrTimeout; attempts >= 1 is RequestRetry's budget and
+// backoff. done should be a static function and arg the caller's own
+// record, so a call allocates nothing: the request's record comes from
+// the endpoint's pool and is back there before done runs. The caller's
+// packet is the request's until done runs: a retry re-sends it, and a
+// timeout reads its op and destination.
+func (e *Endpoint) RequestFn(pkt *flit.Packet, attempts int, backoff sim.Time, done func(arg any, resp *flit.Packet, err error), arg any) {
+	e.acquire(e.newRequest(pkt, attempts, backoff, done, arg))
+}
+
+// RequestP is the blocking form of RequestFn: it parks p until the
+// request resolves and returns the response or the typed error. It
+// awaits the future embedded in the request's record, so a call
+// allocates nothing of its own.
+func (e *Endpoint) RequestP(p *sim.Proc, pkt *flit.Packet, attempts int, backoff sim.Time) (*flit.Packet, error) {
+	r := e.newRequest(pkt, attempts, backoff, settle, nil)
+	r.f = sim.Future[*flit.Packet]{}
+	r.arg = &r.f
+	e.acquire(r)
+	return r.f.Await(p)
+}
+
+func (e *Endpoint) newRequest(pkt *flit.Packet, attempts int, backoff sim.Time, done func(any, *flit.Packet, error), arg any) *request {
+	if !pkt.Op.IsRequest() {
+		panic("txn: Request with non-request op " + pkt.Op.String())
+	}
+	r := e.reqFree
+	if r == nil {
+		r = &request{e: e}
+		e.minted++
 	} else {
-		e.tags.Acquire(func() { e.send(pkt, f, t) })
+		e.reqFree = r.next
+		r.next = nil
+	}
+	r.pkt, r.done, r.arg = pkt, done, arg
+	r.backoff, r.n, r.attempts = backoff, 0, int32(min(attempts, math.MaxInt32))
+	return r
+}
+
+// acquire sends r's packet once a window slot is free.
+func (e *Endpoint) acquire(r *request) {
+	if e.tags.TryAcquire() {
+		e.send(r)
+	} else {
+		e.tags.Acquire(func() { e.send(r) })
 	}
 }
 
 // send runs with a window slot held: allocates the tag, emits the
 // packet, and arms the timeout.
-func (e *Endpoint) send(pkt *flit.Packet, f *sim.Future[*flit.Packet], t *reqTimer) {
+func (e *Endpoint) send(r *request) {
 	tag := e.allocTag()
+	pkt := r.pkt
 	pkt.Src = e.id
 	pkt.Tag = tag
 	if int(tag) >= len(e.pend) {
 		e.growPend(tag)
 	}
-	e.pend[tag] = f
+	e.pend[tag] = r
 	e.npend++
 	e.ReqsSent.Inc()
 	e.out.Send(pkt)
-	if t != nil {
-		t.n++
-		e.eng.After2(e.Timeout, reqTimerFire, t)
+	r.n++
+	if e.Timeout > 0 {
+		r.deadline = sim.SaturatingAdd(e.eng.Now(), e.Timeout)
+		e.eng.At2(r.deadline, requestTimeout, r)
 	}
 }
 
