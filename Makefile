@@ -123,9 +123,10 @@ bench-smoke:
 # flit codec against its bitwise and unpooled references, the ladder
 # engine and a one-shard coordinator (every serial cluster's run path)
 # against the heap executive, sim.Queue against a resliced-slice FIFO,
-# the host address map against its sorting reference, and txn's three
-# request forms (RequestRetry, the completion form RequestFn and the
-# blocking form RequestP) against their closure-chain oracle.
+# the host address map against its sorting reference, and txn's four
+# request forms (RequestRetry, the completion form RequestFn, the
+# blocking form RequestP and the plain Request) against an independent
+# reference initiator with its own tag table, window and timers.
 # A finding is written to the package's testdata/fuzz, where plain
 # `go test` replays it from then on.
 fuzz-smoke:

@@ -23,12 +23,10 @@ import (
 	"fcc/internal/fabric"
 	"fcc/internal/fabstore"
 	"fcc/internal/fault"
-	"fcc/internal/flit"
 	"fcc/internal/host"
 	"fcc/internal/link"
 	"fcc/internal/mem"
 	"fcc/internal/sim"
-	"fcc/internal/task"
 	"fcc/internal/telemetry"
 	"fcc/internal/uheap"
 )
@@ -370,18 +368,6 @@ func (c *Cluster) NewETrans(h *host.Host) *etrans.Engine {
 	return e
 }
 
-// NewTaskRunner builds an idempotent-task runner on host h, with one
-// local engine and one engine per FAA.
-func (c *Cluster) NewTaskRunner(h *host.Host, seed uint64) *task.Runner {
-	c.requireUnsharded("NewTaskRunner")
-	r := task.NewRunner(h.Engine(), h.Endpoint())
-	r.AddEngine(task.NewLocalEngine(h.Engine(), h.Name()+"-cpu", seed))
-	for _, d := range c.FAAs {
-		r.AddEngine(faa.NewEngine(d))
-	}
-	return r
-}
-
 // NewCoherenceClient registers host h as a CC-NUMA participant of the
 // directory fronting FAM i (the cluster must be built Coherent).
 func (c *Cluster) NewCoherenceClient(h *host.Host, fam int, ccfg coherence.ClientConfig) *coherence.Client {
@@ -567,23 +553,4 @@ func (c *Cluster) RunFor(d sim.Time) { c.Coord.RunFor(d) }
 func (c *Cluster) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
 	c.requireUnsharded("Go (use Hosts[i].Engine().Go)")
 	return c.Eng.Go(name, fn)
-}
-
-// ProbeDevicesP performs the fabric-manager enumeration pass at runtime:
-// host h sends a CXL.io configuration read to every FAM and collects the
-// capacities the devices report — the management-plane traffic that in
-// real systems populates the FM's inventory.
-func (c *Cluster) ProbeDevicesP(p *sim.Proc, h *host.Host) map[string]uint64 {
-	out := make(map[string]uint64, len(c.FAMs))
-	for _, f := range c.FAMs {
-		resp := h.Endpoint().Request(&flit.Packet{
-			Chan: flit.ChIO, Op: flit.OpCfgRd, Dst: f.ID(),
-		}).MustAwait(p)
-		var capacity uint64
-		for i := 7; i >= 0; i-- {
-			capacity = capacity<<8 | uint64(resp.Data[i])
-		}
-		out[f.Name()] = capacity
-	}
-	return out
 }

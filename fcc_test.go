@@ -7,6 +7,7 @@ import (
 
 	"fcc/internal/coherence"
 	"fcc/internal/etrans"
+	"fcc/internal/faa"
 	"fcc/internal/fabric"
 	"fcc/internal/flit"
 	"fcc/internal/link"
@@ -101,7 +102,10 @@ func TestClusterTasksOnFAA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := c.NewTaskRunner(c.Hosts[0], 1)
+	r := task.NewRunner(c.Eng, c.Hosts[0].Endpoint())
+	for _, d := range c.FAAs {
+		r.AddEngine(faa.NewEngine(d))
+	}
 	c.FAMs[0].DRAM().Store().Write64(0, 10)
 	tk := &task.Task{
 		Name:    "triple",
@@ -220,7 +224,6 @@ func TestShardCountBoundaries(t *testing.T) {
 		{"Go", func(c *Cluster) { c.Go("p", func(*sim.Proc) {}) }},
 		{"NewInjector", func(c *Cluster) { c.NewInjector(1) }},
 		{"NewETrans", func(c *Cluster) { c.NewETrans(c.Hosts[0]) }},
-		{"NewTaskRunner", func(c *Cluster) { c.NewTaskRunner(c.Hosts[0], 1) }},
 	}
 	panicOf := func(c *Cluster, call func(*Cluster)) (msg string) {
 		defer func() {
@@ -266,24 +269,6 @@ func TestClusterArbiterClient(t *testing.T) {
 		cl.ReclaimP(p, c.FAMs[0].ID(), 1024)
 	})
 	c.Run()
-}
-
-func TestClusterProbeDevices(t *testing.T) {
-	c, err := New(Config{Hosts: 1, FAMs: 3, FAMCapacity: 1 << 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inv map[string]uint64
-	c.Go("fm", func(p *sim.Proc) { inv = c.ProbeDevicesP(p, c.Hosts[0]) })
-	c.Run()
-	if len(inv) != 3 {
-		t.Fatalf("probed %d devices", len(inv))
-	}
-	for name, capacity := range inv {
-		if capacity != 1<<24 {
-			t.Fatalf("%s reported %d", name, capacity)
-		}
-	}
 }
 
 // mode256 is a LinkConfig hook for CXL 3.0 class 256B-flit links.

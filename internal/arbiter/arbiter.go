@@ -306,14 +306,6 @@ func (c *Client) ReclaimP(p *sim.Proc, dst flit.PortID, bytes uint64) {
 	c.Reclaim(dst, bytes).MustAwait(p)
 }
 
-// WithReservationP runs fn while holding a reservation of bytes toward
-// dst, reclaiming afterwards.
-func (c *Client) WithReservationP(p *sim.Proc, dst flit.PortID, bytes uint64, fn func()) {
-	c.ReserveP(p, dst, bytes)
-	fn()
-	c.ReclaimP(p, dst, bytes)
-}
-
 // RegisterStats attaches the arbiter's decision counters to a registry.
 func (a *Arbiter) RegisterStats(s *sim.Stats) {
 	s.Register("reserves", &a.Reserves)

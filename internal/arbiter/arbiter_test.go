@@ -132,10 +132,10 @@ func TestArbiterBulkStillCompletes(t *testing.T) {
 		cl := NewClient(w, r.arb.ID())
 		r.eng.Go("writer", func(p *sim.Proc) {
 			for i := 0; i < 100; i++ {
-				cl.WithReservationP(p, famID, 512, func() {
-					w.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
-						Dst: famID, Size: 512}).MustAwait(p)
-				})
+				cl.ReserveP(p, famID, 512)
+				w.Request(&flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr,
+					Dst: famID, Size: 512}).MustAwait(p)
+				cl.ReclaimP(p, famID, 512)
 				done++
 			}
 		})

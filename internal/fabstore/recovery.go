@@ -40,9 +40,6 @@ func NewRecovery(s *Store, h *host.Host, seed uint64) *Recovery {
 	return &Recovery{s: s, h: h, r: r}
 }
 
-// Runner exposes the task runner (for stats registration).
-func (rec *Recovery) Runner() *task.Runner { return rec.r }
-
 // RecoverP sweeps crashed's intent slots across all shards and replays
 // every pending record, returning what was replayed in deterministic
 // (shard, slot) order.

@@ -8,8 +8,7 @@
 // when the fabric arbiter is attached, reserve bandwidth credit toward
 // the destination expander; puts write a write-ahead intent record into
 // fabric memory first, so a crashed host's in-flight transactions are
-// recoverable by any surviving host as idempotent task replays; bulk
-// ingest rides etrans elastic transactions.
+// recoverable by any surviving host as idempotent task replays.
 package fabstore
 
 import (
@@ -54,9 +53,6 @@ type Config struct {
 	// rows served through the coherence directory when the client has
 	// coherence wired (requires SlotSize == 64).
 	HotKeys uint64
-	// StagingBytes reserves a per-shard scratch window for bulk ingest
-	// (source staging for etrans requests). 0 disables staging.
-	StagingBytes uint64
 	// RetryAttempts / RetryBackoff parameterize txn.RequestRetry for
 	// every store packet. Defaults: 3 attempts, 20µs backoff.
 	RetryAttempts int
@@ -95,15 +91,14 @@ type Device struct {
 }
 
 // Shard is one expander's contiguous slice of the row space plus its
-// memory layout: data rows from DataBase, the ingest staging window,
-// and every host's intent-record slots at the top.
+// memory layout, data | intents: data rows from DataBase, then every
+// host's intent-record slots from IntentBase.
 type Shard struct {
-	Dev         Device
-	FirstRow    uint64
-	Rows        uint64
-	DataBase    uint64
-	StagingBase uint64
-	IntentBase  uint64
+	Dev        Device
+	FirstRow   uint64
+	Rows       uint64
+	DataBase   uint64
+	IntentBase uint64
 }
 
 // Store is the shard map plus one client per host.
@@ -143,8 +138,7 @@ func New(cfg Config, devs []Device, hosts []*host.Host) (*Store, error) {
 			n = s.rows - first
 		}
 		sh := Shard{Dev: d, FirstRow: first, Rows: n}
-		sh.StagingBase = n * cfg.SlotSize
-		sh.IntentBase = sh.StagingBase + cfg.StagingBytes
+		sh.IntentBase = n * cfg.SlotSize
 		if need := sh.IntentBase + intentBytes; need > d.Capacity {
 			return nil, fmt.Errorf("fabstore: shard %d needs %d bytes, device holds %d", i, need, d.Capacity)
 		}

@@ -245,47 +245,6 @@ func TestCrashRecoveryReplaysIntents(t *testing.T) {
 	}
 }
 
-func TestBulkIngestViaETrans(t *testing.T) {
-	c, err := fcc.New(fcc.Config{Hosts: 1, FAMs: 2, FAMCapacity: 1 << 22, Agents: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.NewFabStore(fabstore.Config{
-		Tenants: 1, KeysPerTenant: 64, StagingBytes: 64 * 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stage 48 row images on shard 0's staging window (pre-seeded in
-	// backing DRAM — the feed pipeline is not under test).
-	const rows = 48
-	staging := st.Staging(0)
-	img := make([]byte, rows*64)
-	for r := 0; r < rows; r++ {
-		fabstore.FillValue(img[r*64:(r+1)*64], 0, uint64(r+8), 1)
-	}
-	c.FAMs[0].DRAM().Store().Write(staging.Addr, img)
-	staging.Size = rows * 64
-
-	et := c.NewETrans(c.Hosts[0])
-	cl := st.Client(0)
-	c.Go("ingest", func(p *sim.Proc) {
-		// Keys 8..55 span the shard boundary (64 rows over 2 shards).
-		if err := st.IngestP(p, et, 0, 8, rows, staging); err != nil {
-			t.Fatalf("ingest: %v", err)
-		}
-		for _, key := range []uint64{8, 31, 32, 55} {
-			want := make([]byte, 64)
-			fabstore.FillValue(want, 0, key, 1)
-			got, gerr := cl.GetP(p, 0, key)
-			if gerr != nil || !bytes.Equal(got, want) {
-				t.Errorf("ingested key %d wrong (err=%v)", key, gerr)
-			}
-		}
-	})
-	c.Run()
-}
-
 func TestHotKeysThroughCoherenceDirectory(t *testing.T) {
 	c, st := testCluster(t,
 		fcc.Config{Hosts: 2, FAMs: 1, FAMCapacity: 1 << 22, Coherent: true},

@@ -58,8 +58,6 @@ type Driver struct {
 	tz  *sim.Zipf // tenant sampler
 
 	outstanding int
-	done        bool
-	onDone      []func()
 
 	// The accounting identity (audited E9-style): Issued == Committed +
 	// TypedErrors + CrashLost, with Shed counted before issue. Any other
@@ -149,35 +147,9 @@ func (d *Driver) Start() {
 				default:
 					// Deliberately uncounted: surfaces as Unaccounted != 0.
 				}
-				d.maybeDone()
 			})
 		}
-		d.done = true
-		d.maybeDone()
 	})
-}
-
-// maybeDone fires OnDrained callbacks once every admitted operation has
-// resolved and the arrival loop has ended.
-func (d *Driver) maybeDone() {
-	if !d.done || d.outstanding != 0 {
-		return
-	}
-	cbs := d.onDone
-	d.onDone = nil
-	for _, cb := range cbs {
-		cb()
-	}
-}
-
-// OnDrained registers cb to run (on the host engine) when the driver
-// has generated all arrivals and every in-flight operation resolved.
-func (d *Driver) OnDrained(cb func()) {
-	if d.done && d.outstanding == 0 {
-		cb()
-		return
-	}
-	d.onDone = append(d.onDone, cb)
 }
 
 // Unaccounted is the audit residue: operations that neither committed

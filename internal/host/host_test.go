@@ -309,35 +309,6 @@ func TestPrefetchUsefulCounted(t *testing.T) {
 	}
 }
 
-func TestFetchAddRemoteAtomicity(t *testing.T) {
-	eng, h, _ := rig(t, nil)
-	eng.Go("driver", func(p *sim.Proc) {
-		// Cached store first, so FetchAdd must flush before operating.
-		h.Store64P(p, remoteBase+0x200, 100)
-		prev := h.FetchAddP(p, remoteBase+0x200, 5)
-		if prev != 100 {
-			t.Errorf("FetchAdd saw %d, want 100 (flush-before-atomic broken)", prev)
-		}
-		if got := h.Load64P(p, remoteBase+0x200); got != 105 {
-			t.Errorf("after atomic, load = %d, want 105", got)
-		}
-	})
-	eng.Run()
-}
-
-func TestFetchAddLocal(t *testing.T) {
-	eng, h, _ := rig(t, nil)
-	eng.Go("driver", func(p *sim.Proc) {
-		if prev := h.FetchAddP(p, 0x3000, 7); prev != 0 {
-			t.Errorf("prev = %d", prev)
-		}
-		if prev := h.FetchAddP(p, 0x3000, 7); prev != 7 {
-			t.Errorf("prev = %d", prev)
-		}
-	})
-	eng.Run()
-}
-
 func TestUncachedOpsBypassCache(t *testing.T) {
 	eng, h, f := rig(t, nil)
 	eng.Go("driver", func(p *sim.Proc) {
@@ -377,13 +348,11 @@ func TestUncachedBigRoundTrip(t *testing.T) {
 // TestRejectedWritesFail partitions the whole FAM away from the host
 // after the host has dirtied two of its lines, so the FAM refuses every
 // request with OpMemErr. Each host path must fail its future with an
-// error txn.Typed accepts: an uncached write and read, the flush of a
-// dirty line, a FetchAdd whose failed flush stops it before it sends
-// its atomic, and a FetchAdd on the now clean line, whose atomic the
-// FAM refuses.
+// error txn.Typed accepts: an uncached write and read, and the flush of
+// each dirty line.
 func TestRejectedWritesFail(t *testing.T) {
 	eng, h, f := rig(t, nil)
-	var errs [5]error
+	var errs [4]error
 	eng.Go("writer", func(p *sim.Proc) {
 		h.Store64P(p, remoteBase, 1)
 		h.Store64P(p, remoteBase+0x40, 2)
@@ -394,17 +363,16 @@ func TestRejectedWritesFail(t *testing.T) {
 		_, errs[0] = h.UncachedWrite(remoteBase+0x1000, []byte{1, 2, 3, 4}).Await(p)
 		_, errs[1] = h.UncachedRead(remoteBase+0x1000, 4).Await(p)
 		_, errs[2] = h.FlushLine(remoteBase).Await(p)
-		_, errs[3] = h.FetchAdd(remoteBase+0x40, 1).Await(p)
-		_, errs[4] = h.FetchAdd(remoteBase+0x40, 1).Await(p)
+		_, errs[3] = h.FlushLine(remoteBase + 0x40).Await(p)
 	})
 	eng.Run()
-	for i, what := range []string{"uncached write", "uncached read", "flush", "fetch-add", "clean fetch-add"} {
+	for i, what := range []string{"uncached write", "uncached read", "flush", "second flush"} {
 		if !errors.Is(errs[i], txn.ErrRefused) || !txn.Typed(errs[i]) {
 			t.Errorf("%s rejected by the FAM ended with %v, want %v", what, errs[i], txn.ErrRefused)
 		}
 	}
-	if n := f.Violations.Value(); n != 5 {
-		t.Errorf("FAM counted %d violations, want 5: the write, the read, the flush, the fetch-add's flush and the atomic", n)
+	if n := f.Violations.Value(); n != 4 {
+		t.Errorf("FAM counted %d violations, want 4: the write, the read and the two flushes", n)
 	}
 }
 

@@ -290,47 +290,6 @@ func (h *Host) InvalidateRange(addr uint64, n uint64) {
 
 // ---- uncached operations ----
 
-// FetchAdd performs a remote (or local) atomic fetch-add on the 8 bytes
-// at addr, bypassing the caches (the line is flushed first so the
-// atomic operates on the current value). Resolves to the prior value,
-// or fails with the flush's error, without sending the atomic, or with
-// the atomic's.
-func (h *Host) FetchAdd(addr uint64, delta uint64) *sim.Future[uint64] {
-	f := sim.NewFuture[uint64]()
-	h.FlushLine(addr).OnComplete(func(_ struct{}, err error) {
-		if err != nil {
-			f.Fail(err)
-			return
-		}
-		r := h.amap.MustLookup(addr)
-		if r.Local {
-			h.dram.Atomic(addr, delta, func(prev uint64) { f.Complete(prev) })
-			return
-		}
-		var op [8]byte
-		binary.LittleEndian.PutUint64(op[:], delta)
-		req := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemAtomic, Dst: r.Port,
-			Addr: r.DevAddr(addr), Size: 8, Data: op[:]}
-		h.eng.After(h.cfg.FHALat, func() {
-			h.ep.Request(req).OnComplete(func(resp *flit.Packet, err error) {
-				if err != nil {
-					f.Fail(err)
-					return
-				}
-				h.eng.After(h.cfg.FHALat, func() {
-					f.Complete(binary.LittleEndian.Uint64(resp.Data))
-				})
-			})
-		})
-	})
-	return f
-}
-
-// FetchAddP is the blocking form of FetchAdd.
-func (h *Host) FetchAddP(p *sim.Proc, addr uint64, delta uint64) uint64 {
-	return h.FetchAdd(addr, delta).MustAwait(p)
-}
-
 // UncachedRead fetches n bytes (≤ one max packet payload) at addr
 // bypassing the cache hierarchy (CXL.io-style non-coherent access).
 // Lines that may be cached locally are NOT flushed; callers manage

@@ -42,23 +42,21 @@ type DRAM struct {
 	rd    []*sim.Pipe
 	wr    []*sim.Pipe
 
-	// opFree recycles the completion records for reads and atomics, so
-	// the access hot path schedules its finish event closure-free.
+	// opFree recycles the completion records for reads, so the access
+	// hot path schedules its finish event closure-free.
 	opFree *dramOp
 
 	Reads  sim.Counter
 	Writes sim.Counter
 }
 
-// dramOp carries one read or atomic through its latency event.
+// dramOp carries one read through its latency event.
 type dramOp struct {
-	d     *DRAM
-	addr  uint64
-	dst   []byte
-	prev  uint64
-	done  func()
-	doneA func(uint64)
-	next  *dramOp
+	d    *DRAM
+	addr uint64
+	dst  []byte
+	done func()
+	next *dramOp
 }
 
 func (d *DRAM) getOp() *dramOp {
@@ -81,16 +79,6 @@ func dramReadFire(a any) {
 	op.next = d.opFree
 	d.opFree = op
 	done()
-}
-
-func dramAtomicFire(a any) {
-	op := a.(*dramOp)
-	d := op.d
-	prev, done := op.prev, op.doneA
-	op.doneA = nil
-	op.next = d.opFree
-	d.opFree = op
-	done(prev)
 }
 
 // NewDRAM builds a module of the given capacity.
@@ -157,23 +145,6 @@ func (d *DRAM) Write(addr uint64, data []byte, done func()) {
 	if done != nil {
 		d.eng.At(finish, done)
 	}
-}
-
-// Atomic performs a fetch-add of delta on the 8 bytes at addr, returning
-// the prior value after write timing.
-func (d *DRAM) Atomic(addr uint64, delta uint64, done func(prev uint64)) {
-	d.Writes.Inc()
-	occ := d.cfg.WriteOcc
-	bankFree := d.wr[d.bankIdx(addr)].Use(occ)
-	finish := d.eng.Now() + d.cfg.WriteLat
-	if bankFree > finish {
-		finish = bankFree
-	}
-	prev := d.store.Read64(addr)
-	d.store.Write64(addr, prev+delta)
-	op := d.getOp()
-	op.prev, op.doneA = prev, done
-	d.eng.At2(finish, dramAtomicFire, op)
 }
 
 // RegisterStats attaches the module's access counters to a registry.

@@ -3,7 +3,6 @@ package mem
 //fcclint:hotpath request pipeline op records must stay pooled (PR 5)
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"fcc/internal/fabric"
@@ -12,23 +11,6 @@ import (
 	"fcc/internal/sim"
 	"fcc/internal/txn"
 )
-
-// DeviceType classifies a CXL device by its channel semantics (§2.2).
-type DeviceType uint8
-
-const (
-	// Type1 extends a PCIe device with a coherent cache (no host-managed
-	// memory). FAAs with caches are Type 1.
-	Type1 DeviceType = iota + 1
-	// Type2 has both host-managed memory and a coherent cache.
-	Type2
-	// Type3 is a memory expander: CXL.mem (+ CXL.io) only. Most of
-	// today's CPU-less NUMA expanders are Type 3.
-	Type3
-)
-
-// String names the device type.
-func (t DeviceType) String() string { return fmt.Sprintf("Type%d", uint8(t)) }
 
 // FAMConfig configures one fabric-attached memory chassis.
 type FAMConfig struct {
@@ -46,7 +28,6 @@ type FAMConfig struct {
 	// FCC's central arbiter exists to prevent.
 	FEAOccBase    sim.Time
 	FEAOccPerLine sim.Time
-	Type          DeviceType
 }
 
 // DefaultFAMConfig matches the Omega testbed calibration.
@@ -57,7 +38,6 @@ func DefaultFAMConfig(capacity uint64) FAMConfig {
 		FEALat:        310 * sim.Nanosecond,
 		FEAOccBase:    20 * sim.Nanosecond,
 		FEAOccPerLine: 55 * sim.Nanosecond,
-		Type:          Type3,
 	}
 }
 
@@ -68,8 +48,9 @@ type partition struct {
 	size  uint64
 }
 
-// FAM is a fabric-attached memory device: an FEA front end plus DRAM.
-// It serves CXL.mem loads/stores/atomics and CXL.io bulk transfers.
+// FAM is a fabric-attached memory device, a CXL Type 3 expander: an
+// FEA front end plus DRAM. It serves CXL.mem loads and stores and
+// CXL.io bulk transfers.
 //
 // A FAM may be owned exclusively (no partitions registered — any
 // requester may access everything, enforcement left to software) or
@@ -182,8 +163,6 @@ type famOp struct {
 	epoch int
 	kind  uint8
 	n     uint32
-	delta uint64
-	prev  uint64
 	data  []byte
 	next  *famOp
 
@@ -197,7 +176,6 @@ type famOp struct {
 	stage2    func()
 	replyStep func()
 	dramDone  func()
-	dramAt    func(uint64)
 }
 
 const (
@@ -205,7 +183,6 @@ const (
 	famIORd
 	famWr
 	famIOWr
-	famAt
 )
 
 func (f *FAM) getOp() *famOp {
@@ -217,10 +194,6 @@ func (f *FAM) getOp() *famOp {
 		op.stage2 = op.runStage2
 		op.replyStep = func() { op.finish(op.resp) }
 		op.dramDone = func() { op.f.eng.After(op.f.cfg.FEALat, op.stage2) }
-		op.dramAt = func(prev uint64) {
-			op.prev = prev
-			op.f.eng.After(op.f.cfg.FEALat, op.stage2)
-		}
 	} else {
 		f.opFree = op.next
 		op.next = nil
@@ -239,8 +212,6 @@ func (op *famOp) runStage1() {
 		f.dram.Read(op.req.Addr, op.data, op.dramDone)
 	case famWr, famIOWr:
 		f.dram.Write(op.req.Addr, op.data, op.dramDone)
-	case famAt:
-		f.dram.Atomic(op.req.Addr, op.delta, op.dramAt)
 	}
 }
 
@@ -259,10 +230,6 @@ func (op *famOp) runStage2() {
 		op.finish(req.Response(flit.OpMemWrAck, 0))
 	case famIOWr:
 		op.finish(req.Response(flit.OpIOAck, 0))
-	case famAt:
-		resp := req.Response(flit.OpMemAtomicR, 8)
-		resp.Data = binary.LittleEndian.AppendUint64(op.buf[:0], op.prev)
-		op.finish(resp)
 	}
 }
 
@@ -373,19 +340,6 @@ func (f *FAM) serveOp(op *famOp) {
 		}
 		op.kind = famWr
 		f.eng.After(fea, op.stage1)
-	case flit.OpMemAtomic:
-		if !f.allowed(req.Src, req.Addr, 8) {
-			f.deny(op)
-			return
-		}
-		var delta uint64
-		if len(req.Data) >= 8 {
-			for i := 7; i >= 0; i-- {
-				delta = delta<<8 | uint64(req.Data[i])
-			}
-		}
-		op.kind, op.delta = famAt, delta
-		f.eng.After(fea, op.stage1)
 	case flit.OpIORd:
 		n := req.ReqLen
 		if !f.allowed(req.Src, req.Addr, n) {
@@ -405,15 +359,6 @@ func (f *FAM) serveOp(op *famOp) {
 		}
 		op.kind = famIOWr
 		f.eng.After(fea, op.stage1)
-	case flit.OpCfgRd:
-		// Device identification for the fabric manager: capacity in
-		// ReqLen-agnostic 8-byte response.
-		resp := req.Response(flit.OpCfgRsp, 8)
-		cap := f.cfg.Capacity
-		resp.Data = []byte{byte(cap), byte(cap >> 8), byte(cap >> 16), byte(cap >> 24),
-			byte(cap >> 32), byte(cap >> 40), byte(cap >> 48), byte(cap >> 56)}
-		op.resp = resp
-		f.eng.After(fea, op.replyStep)
 	default:
 		panic(fmt.Sprintf("mem: FAM %s cannot serve %v", f.name, req))
 	}

@@ -26,16 +26,6 @@ type Future[T any] struct {
 // NewFuture returns an incomplete future.
 func NewFuture[T any]() *Future[T] { return &Future[T]{} }
 
-// CompletedFuture returns a future that already holds v.
-func CompletedFuture[T any](v T) *Future[T] {
-	return &Future[T]{done: true, val: v}
-}
-
-// FailedFuture returns a future that already holds err.
-func FailedFuture[T any](err error) *Future[T] {
-	return &Future[T]{done: true, err: err}
-}
-
 // Done reports whether the future has completed (successfully or not).
 func (f *Future[T]) Done() bool { return f.done }
 

@@ -204,7 +204,8 @@ func TestFutureAwait(t *testing.T) {
 
 func TestFutureAwaitAlreadyDone(t *testing.T) {
 	e := NewEngine()
-	f := CompletedFuture("ready")
+	f := NewFuture[string]()
+	f.Complete("ready")
 	var got string
 	e.Go("p", func(p *Proc) { got, _ = f.Await(p) })
 	e.Run()

@@ -1,70 +1,209 @@
 package txn
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
 	"fcc/internal/flit"
+	"fcc/internal/link"
 	"fcc/internal/sim"
 )
 
-// retryOracle is RequestRetry as a closure chain over Request: an outer
-// future, a closure per attempt, and a copy of the packet per attempt.
-// It is how RequestRetry was written before the retry budget moved into
-// the request's record, and FuzzRequestRetry holds every request form
-// to it.
-func retryOracle(e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time) *sim.Future[*flit.Packet] {
-	if attempts <= 0 {
-		attempts = 1
+// refInit is the reference initiator FuzzRequestRetry holds every
+// request form to. It shares no code with Endpoint's request path:
+// pending requests sit in a map by tag and tombstones in a set, freed
+// tags queue FIFO ahead of a bump counter, the window is a count of free
+// slots with a FIFO of sends waiting for one, and each attempt arms a
+// timeout event of its own that acts only while that attempt is still
+// pending under its tag. A request with attempts 0 is a plain request,
+// whose timeout fails it with the bare ErrTimeout.
+type refInit struct {
+	eng     *sim.Engine
+	out     Sender
+	timeout sim.Time
+	window  int
+	slots   int      // free window slots
+	waiting []func() // sends queued for a slot, oldest first
+	pend    map[uint16]*refReq
+	tomb    map[uint16]bool
+	free    []uint16 // released tags, oldest first
+	next    uint16
+
+	sent, retries, timeouts, late int
+}
+
+// refReq is one request on the reference initiator.
+type refReq struct {
+	pkt      *flit.Packet
+	attempts int
+	n        int // attempts sent
+	backoff  sim.Time
+	done     func(*flit.Packet, error)
+}
+
+func newRefInit(eng *sim.Engine, out Sender, window int, timeout sim.Time) *refInit {
+	return &refInit{eng: eng, out: out, timeout: timeout, window: window, slots: window,
+		pend: map[uint16]*refReq{}, tomb: map[uint16]bool{}}
+}
+
+func (r *refInit) issue(_ *sim.Proc, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
+	r.acquire(&refReq{pkt: pkt, attempts: attempts, backoff: backoff, done: done})
+}
+
+func (r *refInit) acquire(q *refReq) {
+	if r.slots == 0 {
+		r.waiting = append(r.waiting, func() { r.send(q) })
+		return
 	}
-	f := sim.NewFuture[*flit.Packet]()
-	var try func(n int, wait sim.Time)
-	try = func(n int, wait sim.Time) {
-		q := *pkt
-		if pkt.Data != nil {
-			q.Data = append([]byte(nil), pkt.Data...)
-		}
-		e.Request(&q).OnComplete(func(resp *flit.Packet, err error) {
-			switch {
-			case err == nil:
-				f.Complete(resp)
-			case !errors.Is(err, ErrTimeout):
-				f.Fail(err)
-			case n >= attempts:
-				f.Fail(fmt.Errorf("%w: %d attempts: %w", ErrDeviceDown, n, err))
-			default:
-				e.Retries.Inc()
-				e.eng.After(wait, func() { try(n+1, wait*2) })
+	r.slots--
+	r.send(q)
+}
+
+// release frees a window slot, handing it straight to the oldest
+// waiting send if there is one.
+func (r *refInit) release() {
+	if len(r.waiting) == 0 {
+		r.slots++
+		return
+	}
+	w := r.waiting[0]
+	r.waiting = r.waiting[1:]
+	w()
+}
+
+func (r *refInit) send(q *refReq) {
+	tag := r.allocTag()
+	q.pkt.Src, q.pkt.Tag = 1, tag
+	r.pend[tag] = q
+	r.sent++
+	r.out.Send(q.pkt)
+	q.n++
+	if r.timeout > 0 {
+		n := q.n
+		r.eng.After(r.timeout, func() {
+			if r.pend[tag] == q && q.n == n {
+				r.expire(tag, q)
 			}
 		})
 	}
-	try(1, backoff)
-	return f
 }
 
-// retryForm issues one retried request from process p, at the instant
-// p runs, and reports how it ended to done.
+func (r *refInit) allocTag() uint16 {
+	if len(r.free) > 0 {
+		t := r.free[0]
+		r.free = r.free[1:]
+		return t
+	}
+	for {
+		t := r.next
+		r.next++
+		if r.pend[t] == nil && !r.tomb[t] {
+			return t
+		}
+	}
+}
+
+// expire times out q's attempt under tag: the tag is tombstoned until
+// its late answer arrives, and q is re-sent after its backoff or fails.
+func (r *refInit) expire(tag uint16, q *refReq) {
+	delete(r.pend, tag)
+	r.tomb[tag] = true
+	r.release()
+	r.timeouts++
+	if q.n < q.attempts {
+		r.retries++
+		wait := q.backoff
+		q.backoff *= 2
+		r.eng.After(wait, func() { r.acquire(q) })
+		return
+	}
+	err := fmt.Errorf("%w: %v to %d after %v", ErrTimeout, q.pkt.Op, q.pkt.Dst, r.timeout)
+	if q.attempts > 0 {
+		err = fmt.Errorf("%w: %d attempts: %w", ErrDeviceDown, q.n, err)
+	}
+	q.done(nil, err)
+}
+
+// Arrive implements link.Sink. The fuzz server never refuses, so every
+// answer completes its request or is a late one.
+func (r *refInit) Arrive(pkt *flit.Packet, release func()) {
+	release()
+	q := r.pend[pkt.Tag]
+	if q == nil {
+		if !r.tomb[pkt.Tag] {
+			panic(fmt.Sprintf("reference: response %v with no pending request", pkt))
+		}
+		delete(r.tomb, pkt.Tag)
+		r.free = append(r.free, pkt.Tag)
+		r.late++
+		return
+	}
+	delete(r.pend, pkt.Tag)
+	r.free = append(r.free, pkt.Tag)
+	r.release()
+	q.done(pkt, nil)
+}
+
+func (r *refInit) counters() string {
+	return fmt.Sprintf("sent=%d retries=%d timeouts=%d late=%d", r.sent, r.retries, r.timeouts, r.late)
+}
+
+func (r *refInit) books() string {
+	return fmt.Sprintf("outstanding=%d tombstones=%d tags=%d", len(r.pend), len(r.tomb), r.window-r.slots)
+}
+
+// initiator is port A of a run: the reference, or an Endpoint driven
+// through one request form.
+type initiator interface {
+	link.Sink
+	issue(p *sim.Proc, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error))
+	counters() string
+	books() string
+}
+
+// retryForm issues one request from process p, at the instant p runs,
+// and reports how it ended to done.
 type retryForm func(p *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error))
 
-func oracleForm(_ *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
-	retryOracle(e, pkt, attempts, backoff).OnComplete(done)
+// formInit drives an Endpoint through one request form.
+type formInit struct {
+	*Endpoint
+	form retryForm
 }
 
-// The request forms under test. The completion and blocking forms take
-// RequestRetry's budget as at least one attempt, as RequestRetry does.
+func (f formInit) issue(p *sim.Proc, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
+	f.form(p, f.Endpoint, pkt, attempts, backoff, done)
+}
+
+func (f formInit) counters() string {
+	return fmt.Sprintf("sent=%d retries=%d timeouts=%d late=%d",
+		f.ReqsSent.Value(), f.Retries.Value(), f.Timeouts.Value(), f.LateResps.Value())
+}
+
+func (f formInit) books() string {
+	return fmt.Sprintf("outstanding=%d tombstones=%d tags=%d", f.Outstanding(), f.Tombstones(), f.tags.InUse())
+}
+
+// The request forms under test. The retried forms take RequestRetry's
+// budget as at least one attempt, as RequestRetry does, and answer to
+// the reference at that budget; the plain form Request has no budget
+// and answers to the reference's plain mode.
 var retryForms = []struct {
-	name string
-	form retryForm
+	name  string
+	plain bool
+	form  retryForm
 }{
-	{"RequestRetry", func(_ *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
+	{"RequestRetry", false, func(_ *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
 		e.RequestRetry(pkt, attempts, backoff).OnComplete(done)
 	}},
-	{"RequestFn", func(_ *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
+	{"RequestFn", false, func(_ *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
 		e.RequestFn(pkt, max(attempts, 1), backoff, callDone, done)
 	}},
-	{"RequestP", func(p *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
+	{"RequestP", false, func(p *sim.Proc, e *Endpoint, pkt *flit.Packet, attempts int, backoff sim.Time, done func(*flit.Packet, error)) {
 		done(e.RequestP(p, pkt, max(attempts, 1), backoff))
+	}},
+	{"Request", true, func(_ *sim.Proc, e *Endpoint, pkt *flit.Packet, _ int, _ sim.Time, done func(*flit.Packet, error)) {
+		e.Request(pkt).OnComplete(done)
 	}},
 }
 
@@ -113,20 +252,24 @@ const (
 	actAfterNext        // answer once the next attempt has gone
 )
 
-// runRetry issues c's requests through form on a fresh pair and logs
-// every arrival at the server and every completion at the initiator,
-// each with the initiator's counters at that instant, then the final
-// books and clock. Each request has a process of its own, started at
-// time 0 and woken by an event at its issue time, so the blocking form
-// issues at the same point in the event order as the others.
-func runRetry(t *testing.T, c retryCase, form retryForm) []string {
-	eng, a, b := pair(t, c.maxTags)
-	a.Timeout = c.timeout
-	var log []string
-	counters := func() string {
-		return fmt.Sprintf("sent=%d retries=%d timeouts=%d late=%d",
-			a.ReqsSent.Value(), a.Retries.Value(), a.Timeouts.Value(), a.LateResps.Value())
+// runRetry issues c's requests from the initiator mk puts on port A,
+// each with a budget of attempts, and logs every arrival at the server
+// and every completion at the initiator, each with the initiator's
+// counters at that instant, then the final books and clock. Each
+// request has a process of its own, started at time 0 and woken by an
+// event at its issue time, so the blocking form issues at the same
+// point in the event order as the others.
+func runRetry(t *testing.T, c retryCase, attempts int, mk func(eng *sim.Engine, out Sender) initiator) []string {
+	eng := sim.NewEngine()
+	l, err := link.New(eng, "t", link.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
+	b := NewEndpoint(eng, 2, l.B(), 0)
+	l.B().SetSink(b)
+	a := mk(eng, l.A())
+	l.A().SetSink(a)
+	var log []string
 	arrivals := 0
 	seen := make([]int, c.reqs) // arrivals so far per request
 	b.Handler = func(req *flit.Packet, reply func(*flit.Packet)) {
@@ -138,7 +281,7 @@ func runRetry(t *testing.T, c retryCase, form retryForm) []string {
 		}
 		arrivals++
 		log = append(log, fmt.Sprintf("%v arrive req=%d attempt=%d tag=%d act=%d %s",
-			eng.Now(), i, seen[i], req.Tag, act, counters()))
+			eng.Now(), i, seen[i], req.Tag, act, a.counters()))
 		var d sim.Time
 		switch act {
 		case actDrop:
@@ -166,36 +309,47 @@ func runRetry(t *testing.T, c retryCase, form retryForm) []string {
 			if i%3 == 2 {
 				pkt.Op, pkt.Size, pkt.Data = flit.OpMemWr, 8, []byte{byte(i), 1, 2, 3, 4, 5, 6, 7}
 			}
-			form(p, a, pkt, c.attempts, c.backoff, func(resp *flit.Packet, err error) {
+			a.issue(p, pkt, attempts, c.backoff, func(resp *flit.Packet, err error) {
 				done++
 				out := fmt.Sprint("err=", err)
 				if err == nil {
 					out = "resp=" + resp.String()
 				}
-				log = append(log, fmt.Sprintf("%v done req=%d %s %s", eng.Now(), i, out, counters()))
+				log = append(log, fmt.Sprintf("%v done req=%d %s %s", eng.Now(), i, out, a.counters()))
 			})
 		})
 	}
 	eng.Run()
-	return append(log, fmt.Sprintf("end %v done=%d outstanding=%d tombstones=%d tags=%d %s",
-		eng.Now(), done, a.Outstanding(), a.Tombstones(), a.tags.InUse(), counters()))
+	return append(log, fmt.Sprintf("end %v done=%d %s %s", eng.Now(), done, a.books(), a.counters()))
 }
 
 // FuzzRequestRetry holds every request form (RequestRetry, the
-// completion form RequestFn and the blocking form RequestP) to the
-// closure-chain oracle: for any retry budget, backoff, timeout, window
-// and mix of dropped, timely, late and very late answers, each must
-// resolve every request at the same instant with the same response or
-// error text, move the endpoint's counters at the same instants, and
+// completion form RequestFn, the blocking form RequestP and the plain
+// Request) to the reference initiator: for any retry budget, backoff,
+// timeout, window and mix of dropped, timely, late and very late
+// answers, each must send every attempt at the same instant under the
+// same tag, resolve every request at the same instant with the same
+// response or error text, move the counters at the same instants, and
 // leave the same books and clock. A stagger shorter than the timeout
 // reuses records that responses retired while their stale timeouts are
 // still pending.
 func FuzzRequestRetry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeRetryCase(data)
-		want := runRetry(t, c, oracleForm)
+		ref := func(eng *sim.Engine, out Sender) initiator { return newRefInit(eng, out, c.maxTags, c.timeout) }
+		retried := max(c.attempts, 1)
+		wantRetried := runRetry(t, c, retried, ref)
+		wantPlain := runRetry(t, c, 0, ref)
 		for _, rf := range retryForms {
-			got := runRetry(t, c, rf.form)
+			want, attempts := wantRetried, c.attempts
+			if rf.plain {
+				want, attempts = wantPlain, 0
+			}
+			got := runRetry(t, c, attempts, func(eng *sim.Engine, out Sender) initiator {
+				e := NewEndpoint(eng, 1, out, c.maxTags)
+				e.Timeout = c.timeout
+				return formInit{e, rf.form}
+			})
 			for i := range max(len(got), len(want)) {
 				var g, w string
 				if i < len(got) {

@@ -484,16 +484,6 @@ func segments(size uint32) []uint32 {
 // mechanism behind the paper's "16KB writes" interference workload and
 // the elastic transaction engine's data movement.
 func (e *Endpoint) BulkWrite(dst flit.PortID, addr uint64, size uint32) *sim.Future[int] {
-	return e.bulk(dst, addr, size, flit.OpIOWr)
-}
-
-// BulkRead issues a segmented bulk read; the future resolves when all
-// response data has arrived.
-func (e *Endpoint) BulkRead(dst flit.PortID, addr uint64, size uint32) *sim.Future[int] {
-	return e.bulk(dst, addr, size, flit.OpIORd)
-}
-
-func (e *Endpoint) bulk(dst flit.PortID, addr uint64, size uint32, op flit.Op) *sim.Future[int] {
 	done := sim.NewFuture[int]()
 	segs := segments(size)
 	if len(segs) == 0 {
@@ -504,12 +494,7 @@ func (e *Endpoint) bulk(dst flit.PortID, addr uint64, size uint32, op flit.Op) *
 	var firstErr error
 	off := uint64(0)
 	for _, sz := range segs {
-		pkt := &flit.Packet{Chan: flit.ChIO, Op: op, Dst: dst, Addr: addr + off}
-		if op == flit.OpIOWr {
-			pkt.Size = sz // the write carries its payload out
-		} else {
-			pkt.ReqLen = sz // the read asks for sz bytes back
-		}
+		pkt := &flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr, Dst: dst, Addr: addr + off, Size: sz}
 		e.Request(pkt).OnComplete(func(_ *flit.Packet, err error) {
 			if err != nil && firstErr == nil {
 				firstErr = err

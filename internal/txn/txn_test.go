@@ -200,19 +200,6 @@ func TestBulkWriteUnevenTail(t *testing.T) {
 	}
 }
 
-func TestBulkReadCarriesDataBack(t *testing.T) {
-	eng, a, b := pair(t, 0)
-	b.Handler = echoMem(eng, 0)
-	var n int
-	eng.After(0, func() {
-		a.BulkRead(2, 0, 2048).OnComplete(func(v int, err error) { n = v })
-	})
-	eng.Run()
-	if n != 2048 {
-		t.Fatalf("bulk read = %d bytes, want 2048", n)
-	}
-}
-
 func TestBulkZeroBytesCompletesImmediately(t *testing.T) {
 	eng, a, _ := pair(t, 0)
 	f := a.BulkWrite(2, 0, 0)

@@ -105,10 +105,6 @@ func (pl *pool) release(addr uint64, shift uint) {
 	pl.used -= 1 << shift
 }
 
-// Available reports bytes not currently allocated (bump headroom plus
-// freed bins).
-func (pl *pool) available() uint64 { return pl.spec.Size - pl.used }
-
 // Obj is a smart-pointer handle to a heap object. The object's physical
 // placement may change under it; accesses always reach the current
 // location and feed the temperature profile.
@@ -121,8 +117,6 @@ type Obj struct {
 	pool  *pool
 	heat  float64
 	freed bool
-	// pinned objects never migrate (e.g. DMA targets).
-	pinned bool
 	// migrating blocks accessors until the runtime finishes moving the
 	// object's bytes; waiters holds their wakeups.
 	migrating bool
@@ -139,9 +133,6 @@ func (o *Obj) Pool() string { return o.pool.spec.Name }
 // Class reports the object's current pool class.
 func (o *Obj) Class() Class { return o.pool.spec.Class }
 
-// Pin prevents migration.
-func (o *Obj) Pin() { o.pinned = true }
-
 // Config tunes the heap runtime.
 type Config struct {
 	// Epoch is the profiling/migration period. 0 disables migration.
@@ -154,11 +145,6 @@ type Config struct {
 	// considered for promotion; it keeps the long warm tail of a skewed
 	// workload from thrashing the fast pool. 0 selects 2.0.
 	MinHeat float64
-}
-
-// DefaultConfig enables migration with a 100us epoch.
-func DefaultConfig() Config {
-	return Config{Epoch: 100 * sim.Microsecond, Decay: 0.5, MaxMovesPerEpoch: 8, MinHeat: 2}
 }
 
 // Heap is the unified heap manager bound to one host.
@@ -261,13 +247,16 @@ func (hp *Heap) Alloc(size uint64, hint ...Class) (*Obj, error) {
 	return nil, fmt.Errorf("uheap: out of memory for %d bytes", size)
 }
 
-// Free releases the object.
+// Free releases the object. An object the runtime is moving keeps its
+// bin until the move ends: endMigration releases the bin it lands in.
 func (hp *Heap) Free(o *Obj) {
 	if o.freed {
 		panic("uheap: double free")
 	}
 	o.freed = true
-	o.pool.release(o.addr, o.shift)
+	if !o.migrating {
+		o.pool.release(o.addr, o.shift)
+	}
 	delete(hp.objs, o.id)
 	hp.Frees.Inc()
 }
@@ -289,6 +278,9 @@ func (o *Obj) waitMigration(p *sim.Proc) {
 
 func (o *Obj) endMigration() {
 	o.migrating = false
+	if o.freed {
+		o.pool.release(o.addr, o.shift)
+	}
 	ws := o.waiters
 	o.waiters = nil
 	for _, w := range ws {
@@ -340,7 +332,7 @@ func (o *Obj) bounds(off, n uint64) {
 func (hp *Heap) epoch() {
 	var hotSlow []*Obj
 	for _, o := range hp.objs {
-		if !o.pinned && !o.migrating && o.pool.spec.Class > ClassLocal && o.heat >= hp.cfg.MinHeat {
+		if !o.migrating && o.pool.spec.Class > ClassLocal && o.heat >= hp.cfg.MinHeat {
 			hotSlow = append(hotSlow, o)
 		}
 	}
@@ -404,7 +396,7 @@ func (hp *Heap) fasterPool(c Class) *pool {
 func (hp *Heap) coldestIn(pl *pool, shift uint) *Obj {
 	var victim *Obj
 	for _, o := range hp.objs {
-		if o.pool == pl && o.shift == shift && !o.pinned && !o.migrating {
+		if o.pool == pl && o.shift == shift && !o.migrating {
 			if victim == nil || o.heat < victim.heat ||
 				(o.heat == victim.heat && o.id < victim.id) {
 				victim = o
@@ -464,16 +456,6 @@ func (hp *Heap) swap(hot, cold *Obj) {
 		hot.endMigration()
 		cold.endMigration()
 	})
-}
-
-// Stats summarizes pool occupancy for diagnostics.
-func (hp *Heap) Stats() string {
-	s := ""
-	for _, pl := range hp.pools {
-		s += fmt.Sprintf("%s(%v): used=%d avail=%d\n",
-			pl.spec.Name, pl.spec.Class, pl.used, pl.available())
-	}
-	return s
 }
 
 // Objects reports the live object count.

@@ -268,20 +268,69 @@ func TestMigrationSwapsColdOut(t *testing.T) {
 	}
 }
 
-func TestPinnedObjectNeverMigrates(t *testing.T) {
-	cfg := Config{Epoch: 20 * sim.Microsecond, Decay: 0.5, MaxMovesPerEpoch: 4}
-	eng, _, hp := rig(t, cfg, 1<<20)
-	o, _ := hp.Alloc(4096, ClassFar)
-	o.Pin()
-	eng.Go("driver", func(p *sim.Proc) {
-		for i := 0; i < 200; i++ {
-			o.Read64P(p, 0)
-			p.Sleep(500 * sim.Nanosecond)
+// TestFreeDuringMigration frees an object while the runtime is moving
+// it: mid-promotion, and as the cold side of a swap. The bin the object
+// ends in must go back to its pool once, and no bin a live object holds
+// may be handed out again.
+func TestFreeDuringMigration(t *testing.T) {
+	t.Run("promotion", func(t *testing.T) {
+		eng, _, hp := rig(t, noMigration(), 1<<20)
+		o, _ := hp.Alloc(4096, ClassFar)
+		if !hp.promote(o) {
+			t.Fatal("promotion not scheduled")
 		}
+		hp.Free(o)
+		eng.Run()
+		checkBins(t, hp)
 	})
-	eng.Run()
-	if o.Class() != ClassFar {
-		t.Fatal("pinned object migrated")
+	t.Run("swap", func(t *testing.T) {
+		// The local pool holds one 4 KiB bin, so the hot far object
+		// swaps with the cold local one.
+		eng, _, hp := rig(t, noMigration(), 4096)
+		cold, _ := hp.Alloc(4096)
+		hot, _ := hp.Alloc(4096)
+		hot.heat = 1
+		if !hp.promote(hot) || !cold.migrating {
+			t.Fatal("swap not scheduled")
+		}
+		hp.Free(cold)
+		eng.Run()
+		if hot.Class() != ClassLocal {
+			t.Fatalf("hot object in %v after the swap", hot.Class())
+		}
+		checkBins(t, hp)
+	})
+}
+
+// checkBins requires each pool's used bytes to equal the bins its live
+// objects hold, then allocates a fresh local object and two fresh far
+// ones and requires that no two live objects share a byte.
+func checkBins(t *testing.T, hp *Heap) {
+	t.Helper()
+	held := map[*pool]uint64{}
+	for _, o := range hp.objs {
+		held[o.pool] += 1 << o.shift
+	}
+	for _, pl := range hp.pools {
+		if pl.used != held[pl] {
+			t.Errorf("pool %s: used %d, live objects hold %d", pl.spec.Name, pl.used, held[pl])
+		}
+	}
+	for _, c := range []Class{ClassLocal, ClassFar, ClassFar} {
+		if _, err := hp.Alloc(4096, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var live []*Obj
+	for _, o := range hp.objs {
+		live = append(live, o)
+	}
+	for i, a := range live {
+		for _, b := range live[i+1:] {
+			if a.addr < b.addr+1<<b.shift && b.addr < a.addr+1<<a.shift {
+				t.Errorf("live objects share bytes: [%#x,+%d) and [%#x,+%d)", a.addr, 1<<a.shift, b.addr, 1<<b.shift)
+			}
+		}
 	}
 }
 
