@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv fccbench-smoke shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke fccperf-smoke fuzz-smoke loc
+.PHONY: ci build vet fmtcheck lint test race shard-equiv fabstore-equiv fccbench-smoke shard-speedup scale-smoke bench bench-smoke bench-diff examples-smoke fccperf-smoke fuzz-smoke loc same-output
 
 # ci is the tier-1 gate: build, vet, the invariant lint pass, the full
 # suite under the race detector, the sharded-equivalence crown jewel
@@ -164,3 +164,25 @@ examples-smoke:
 loc:
 	@find . \( -path ./.git -o -path ./.bench_build -o -path ./cmd/fccperf -o -name testdata \) -prune \
 		-o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+
+# same-output checks that a change which deletes or reshapes code leaves
+# every run byte-identical to its parent. PARENT is a checkout of the
+# parent commit made with `git clone` (not a worktree). It compares
+# fccbench's -exp all -json document with cmp, then the stdout of every
+# example, fabtop -trace (one switch, then three) and fabsim, naming the
+# first that differs, and runs fccperf-smoke, since cmd/fccperf is a
+# module of its own that the root's build skips. Not part of ci.
+#   make same-output PARENT=../parent
+same-output:
+	@if [ -z "$(PARENT)" ]; then echo "usage: make same-output PARENT=<git clone of the parent commit>"; exit 2; fi
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	(cd "$(PARENT)" && $(GO) run ./cmd/fccbench -exp all -json "$$dir/p.json" > /dev/null) && \
+	$(GO) run ./cmd/fccbench -exp all -json "$$dir/c.json" > /dev/null && \
+	cmp "$$dir/p.json" "$$dir/c.json" && echo "fccbench -exp all -json: same bytes" && \
+	for t in examples/*/ "cmd/fabtop -trace" "cmd/fabtop -trace -switches 3 -fams 3" cmd/fabsim; do \
+		set -- $$t; pkg=$$1; shift; \
+		(cd "$(PARENT)" && $(GO) run ./$$pkg "$$@") > "$$dir/p.out" && \
+		$(GO) run ./$$pkg "$$@" > "$$dir/c.out" || exit 1; \
+		cmp -s "$$dir/p.out" "$$dir/c.out" || { echo "same-output: $$t prints other bytes than the parent"; exit 1; }; \
+	done && echo "examples, fabtop and fabsim: same bytes"
+	@$(MAKE) --no-print-directory fccperf-smoke

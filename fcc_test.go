@@ -291,8 +291,11 @@ func TestCluster256BFlitMode(t *testing.T) {
 	var v uint64
 	c.Go("driver", func(p *sim.Proc) {
 		c.Hosts[0].Store64P(p, c.FAMBase(0)+0x40, 777)
-		c.Hosts[0].FlushRangeP(p, c.FAMBase(0)+0x40, 8)
-		c.Hosts[0].InvalidateLine(c.FAMBase(0) + 0x40)
+		if err := c.Hosts[0].FlushRangeP(p, c.FAMBase(0)+0x40, 8); err != nil {
+			t.Error(err)
+			return
+		}
+		c.Hosts[0].InvalidateRange(c.FAMBase(0)+0x40, 8)
 		v = c.Hosts[0].Load64P(p, c.FAMBase(0)+0x40)
 	})
 	c.Run()
@@ -327,7 +330,10 @@ func TestClusterSurvivesLinkBitErrors(t *testing.T) {
 		for i := uint64(0); i < 200; i++ {
 			h.Store64P(p, base+i*64, i*7+1)
 		}
-		h.FlushRangeP(p, base, 200*64)
+		if err := h.FlushRangeP(p, base, 200*64); err != nil {
+			t.Error(err)
+			return
+		}
 		h.InvalidateRange(base, 200*64)
 		for i := uint64(0); i < 200; i++ {
 			if got := h.Load64P(p, base+i*64); got != i*7+1 {
@@ -360,7 +366,10 @@ func TestTrafficMatrix(t *testing.T) {
 		for i := uint64(0); i < 4; i++ {
 			c.Hosts[0].Store64P(p, c.FAMBase(0)+i*64, i)
 		}
-		c.Hosts[0].FlushRangeP(p, c.FAMBase(0), 4*64)
+		if err := c.Hosts[0].FlushRangeP(p, c.FAMBase(0), 4*64); err != nil {
+			t.Error(err)
+			return
+		}
 		for i := uint64(0); i < 2; i++ {
 			c.Hosts[1].Load64P(p, c.FAMBase(1)+i*64)
 		}
@@ -394,7 +403,9 @@ func TestTrafficMatrixRendersZeroByteDevice(t *testing.T) {
 	tm := c.CollectTraffic()
 	c.Go("driver", func(p *sim.Proc) {
 		c.Hosts[0].Store64P(p, c.FAMBase(0), 7)
-		c.Hosts[0].FlushRangeP(p, c.FAMBase(0), 64)
+		if err := c.Hosts[0].FlushRangeP(p, c.FAMBase(0), 64); err != nil {
+			t.Error(err)
+		}
 	})
 	c.Run()
 	if got := tm.Bytes(c.Hosts[0].ID(), c.FAMs[1].ID()); got != 0 {

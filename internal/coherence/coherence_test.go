@@ -359,25 +359,33 @@ func TestNCCUncachedAlwaysCoherent(t *testing.T) {
 	eng.Run()
 }
 
+// TestNCCCachedRequiresBarriers has two hosts cache the same device
+// region with no coherence protocol: a write becomes visible to the
+// other host only after software barriers, a flush by the writer and
+// an invalidate by the reader.
 func TestNCCCachedRequiresBarriers(t *testing.T) {
 	eng, hosts, _ := nccRig(t)
-	a := &NCCClient{H: hosts[0], Base: 1 << 30, Cached: true}
-	b := &NCCClient{H: hosts[1], Base: 1 << 30, Cached: true}
+	a := &CPULessClient{H: hosts[0], Base: 1 << 30}
+	b := &CPULessClient{H: hosts[1], Base: 1 << 30}
 	eng.Go("driver", func(p *sim.Proc) {
 		// B warms a stale copy.
 		if got := b.Read64P(p, 0x200); got != 0 {
 			t.Errorf("initial read %d", got)
 		}
-		// A writes and publishes.
+		// A writes into its own cache.
 		a.Write64P(p, 0x200, 9)
 		// WITHOUT barriers, B still sees the stale cached 0 — that is
 		// the NCC hazard the paper warns about.
 		if got := b.Read64P(p, 0x200); got != 0 {
 			t.Errorf("without barriers B saw %d — caches leaked coherence", got)
 		}
-		// With release+acquire, the write becomes visible.
-		a.Release(p, 0x200, 8)
-		b.Acquire(0x200, 8)
+		// A's flush publishes the write and B's invalidate drops its
+		// stale copy, so B reads the new value.
+		if err := hosts[0].FlushRangeP(p, (1<<30)+0x200, 8); err != nil {
+			t.Error(err)
+			return
+		}
+		hosts[1].InvalidateRange((1<<30)+0x200, 8)
 		if got := b.Read64P(p, 0x200); got != 9 {
 			t.Errorf("after barriers B saw %d, want 9", got)
 		}
@@ -394,7 +402,10 @@ func TestCPULessClientThroughHostCaches(t *testing.T) {
 			t.Errorf("read back %d", got)
 		}
 		// Flush and verify it reached the device.
-		hosts[0].FlushRangeP(p, (1<<30)+0x300, 8)
+		if err := hosts[0].FlushRangeP(p, (1<<30)+0x300, 8); err != nil {
+			t.Error(err)
+			return
+		}
 		if got := fam.DRAM().Store().Read64(0x300); got != 77 {
 			t.Errorf("device sees %d", got)
 		}

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"encoding/binary"
+
 	"fcc/internal/host"
 	"fcc/internal/sim"
 )
@@ -48,56 +50,32 @@ func (c *CPULessClient) Write64P(p *sim.Proc, addr uint64, v uint64) {
 }
 
 // NCCClient accesses a non-cache-coherent NUMA node. Every access goes
-// to the device uncached; Acquire/Release barriers let software build
-// its own coherence on top (flush before publishing, invalidate before
-// consuming) when it opts into cached mode.
+// to the device uncached, so the hosts sharing the node always observe
+// each other's writes. Software that caches such a node builds its own
+// coherence from the host's barriers instead: FlushRangeP before
+// publishing, InvalidateRange before consuming.
 type NCCClient struct {
 	H    *host.Host
 	Base uint64
-	// Cached selects host-cached access with explicit software
-	// coherence (barriers required) instead of fully uncached access.
-	Cached bool
 }
 
 // Kind implements NodeClient.
 func (c *NCCClient) Kind() string { return "NCC-NUMA" }
 
-// Read64P implements NodeClient.
+// Read64P implements NodeClient. It panics if the read fails, since
+// NodeClient returns no error.
 func (c *NCCClient) Read64P(p *sim.Proc, addr uint64) uint64 {
-	if c.Cached {
-		return c.H.Load64P(p, c.Base+addr)
+	b, err := c.H.UncachedReadP(p, c.Base+addr, 8)
+	if err != nil {
+		panic(err)
 	}
-	b := c.H.UncachedRead(c.Base+addr, 8).MustAwait(p)
-	v := uint64(0)
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
+	return binary.LittleEndian.Uint64(b)
 }
 
-// Write64P implements NodeClient.
+// Write64P implements NodeClient. It panics if the write fails, since
+// NodeClient returns no error.
 func (c *NCCClient) Write64P(p *sim.Proc, addr uint64, v uint64) {
-	if c.Cached {
-		c.H.Store64P(p, c.Base+addr, v)
-		return
-	}
-	b := [8]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24),
-		byte(v >> 32), byte(v >> 40), byte(v >> 48), byte(v >> 56)}
-	c.H.UncachedWrite(c.Base+addr, b[:]).MustAwait(p)
-}
-
-// Release flushes [addr, addr+n) so other nodes can observe this node's
-// writes (the software-coherence publish barrier).
-func (c *NCCClient) Release(p *sim.Proc, addr, n uint64) {
-	if c.Cached {
-		c.H.FlushRangeP(p, c.Base+addr, n)
-	}
-}
-
-// Acquire invalidates [addr, addr+n) so subsequent reads observe other
-// nodes' writes (the software-coherence consume barrier).
-func (c *NCCClient) Acquire(addr, n uint64) {
-	if c.Cached {
-		c.H.InvalidateRange(c.Base+addr, n)
+	if err := c.H.UncachedWriteP(p, c.Base+addr, binary.LittleEndian.AppendUint64(nil, v)); err != nil {
+		panic(err)
 	}
 }

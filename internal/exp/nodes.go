@@ -42,13 +42,10 @@ func buildClients(kind string) (*fcc.Cluster, [2]coherence.NodeClient) {
 	var out [2]coherence.NodeClient
 	for i, h := range c.Hosts {
 		switch kind {
-		case "CPU-less NUMA":
-			// Host-cached access; software must partition writers —
-			// the workloads here either read-share or alternate with
-			// explicit flushes, mirroring how such nodes are used.
-			out[i] = &coherence.NCCClient{H: h, Base: c.FAMBase(0), Cached: false}
-		case "NCC-NUMA":
-			out[i] = &coherence.NCCClient{H: h, Base: c.FAMBase(0), Cached: false}
+		case "CPU-less NUMA", "NCC-NUMA":
+			// Uncached access; for CPU-less NUMA, node 0 is replaced
+			// below by the owner that caches the region.
+			out[i] = &coherence.NCCClient{H: h, Base: c.FAMBase(0)}
 		case "CC-NUMA":
 			out[i] = c.NewCoherenceClient(h, 0, coherence.DefaultClientConfig())
 		case "COMA":

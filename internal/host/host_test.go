@@ -243,13 +243,16 @@ func TestDataIntegrityRemote(t *testing.T) {
 	eng.Go("driver", func(p *sim.Proc) {
 		h.Store64P(p, remoteBase+128, 42)
 		// Force the dirty line out to the device.
-		h.FlushRangeP(p, remoteBase+128, 8)
+		if err := h.FlushRangeP(p, remoteBase+128, 8); err != nil {
+			t.Error(err)
+			return
+		}
 		if got := f.DRAM().Store().Read64(128); got != 42 {
 			t.Errorf("device sees %d, want 42", got)
 		}
 		// Device-side change must be visible after invalidation.
 		f.DRAM().Store().Write64(128, 99)
-		h.InvalidateLine(remoteBase + 128)
+		h.InvalidateRange(remoteBase+128, 8)
 		if got := h.Load64P(p, remoteBase+128); got != 99 {
 			t.Errorf("host sees %d after invalidate, want 99", got)
 		}
@@ -312,13 +315,16 @@ func TestPrefetchUsefulCounted(t *testing.T) {
 func TestUncachedOpsBypassCache(t *testing.T) {
 	eng, h, f := rig(t, nil)
 	eng.Go("driver", func(p *sim.Proc) {
-		h.UncachedWrite(remoteBase+0x300, []byte{1, 2, 3, 4}).MustAwait(p)
+		if err := h.UncachedWriteP(p, remoteBase+0x300, []byte{1, 2, 3, 4}); err != nil {
+			t.Error(err)
+			return
+		}
 		if got := f.DRAM().Store().Read64(0x300); got&0xFFFFFFFF != 0x04030201 {
 			t.Errorf("device = %#x", got)
 		}
-		b := h.UncachedRead(remoteBase+0x300, 4).MustAwait(p)
-		if len(b) != 4 || b[0] != 1 || b[3] != 4 {
-			t.Errorf("uncached read = %v", b)
+		b, err := h.UncachedReadP(p, remoteBase+0x300, 4)
+		if err != nil || len(b) != 4 || b[0] != 1 || b[3] != 4 {
+			t.Errorf("uncached read = %v, %v", b, err)
 		}
 	})
 	eng.Run()
@@ -334,8 +340,15 @@ func TestUncachedBigRoundTrip(t *testing.T) {
 		data[i] = byte(i * 31)
 	}
 	eng.Go("driver", func(p *sim.Proc) {
-		h.UncachedWriteBigP(p, remoteBase+0x10000, data)
-		got := h.UncachedReadBigP(p, remoteBase+0x10000, 3000)
+		if err := h.UncachedWriteP(p, remoteBase+0x10000, data); err != nil {
+			t.Error(err)
+			return
+		}
+		got, err := h.UncachedReadP(p, remoteBase+0x10000, 3000)
+		if err != nil || len(got) != len(data) {
+			t.Errorf("uncached read of 3000 bytes = %d bytes, %v", len(got), err)
+			return
+		}
 		for i := range data {
 			if got[i] != data[i] {
 				t.Fatalf("byte %d: %d != %d", i, got[i], data[i])
@@ -347,9 +360,9 @@ func TestUncachedBigRoundTrip(t *testing.T) {
 
 // TestRejectedWritesFail partitions the whole FAM away from the host
 // after the host has dirtied two of its lines, so the FAM refuses every
-// request with OpMemErr. Each host path must fail its future with an
-// error txn.Typed accepts: an uncached write and read, and the flush of
-// each dirty line.
+// request with OpMemErr. Each host path must return an error txn.Typed
+// accepts: an uncached write and read, and the flush of each dirty
+// line.
 func TestRejectedWritesFail(t *testing.T) {
 	eng, h, f := rig(t, nil)
 	var errs [4]error
@@ -360,10 +373,10 @@ func TestRejectedWritesFail(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		_, errs[0] = h.UncachedWrite(remoteBase+0x1000, []byte{1, 2, 3, 4}).Await(p)
-		_, errs[1] = h.UncachedRead(remoteBase+0x1000, 4).Await(p)
-		_, errs[2] = h.FlushLine(remoteBase).Await(p)
-		_, errs[3] = h.FlushLine(remoteBase + 0x40).Await(p)
+		errs[0] = h.UncachedWriteP(p, remoteBase+0x1000, []byte{1, 2, 3, 4})
+		_, errs[1] = h.UncachedReadP(p, remoteBase+0x1000, 4)
+		errs[2] = h.FlushRangeP(p, remoteBase, 8)
+		errs[3] = h.FlushRangeP(p, remoteBase+0x40, 8)
 	})
 	eng.Run()
 	for i, what := range []string{"uncached write", "uncached read", "flush", "second flush"} {
@@ -377,22 +390,36 @@ func TestRejectedWritesFail(t *testing.T) {
 }
 
 // TestLostWritesFail fences the FAM under a host whose endpoint times
-// out after 5 µs. The flush of a dirty line must fail with ErrTimeout,
-// as an uncached write does.
+// out after 5 µs. Every uncached operation and flush must return
+// ErrTimeout, and the run must drain, at one request and at several:
+// an uncached write, the flush of a dirty line, a 3,000-byte uncached
+// write and read, and a flush over three dirty lines. A flush stops at
+// the line that failed, so the lines after it stay cached and dirty.
 func TestLostWritesFail(t *testing.T) {
 	eng, h, f := rig(t, nil)
 	h.Endpoint().Timeout = 5 * sim.Microsecond
-	var errs [2]error
+	var errs [5]error
 	eng.Go("writer", func(p *sim.Proc) {
-		h.Store64P(p, remoteBase, 1)
+		for a := uint64(0); a < 4*LineSize; a += LineSize {
+			h.Store64P(p, remoteBase+a, 1)
+		}
 		f.Fail()
-		_, errs[0] = h.UncachedWrite(remoteBase+0x1000, []byte{1, 2, 3, 4}).Await(p)
-		_, errs[1] = h.FlushLine(remoteBase).Await(p)
+		errs[0] = h.UncachedWriteP(p, remoteBase+0x1000, []byte{1, 2, 3, 4})
+		errs[1] = h.FlushRangeP(p, remoteBase, 8)
+		errs[2] = h.UncachedWriteP(p, remoteBase+0x2000, make([]byte, 3000))
+		_, errs[3] = h.UncachedReadP(p, remoteBase+0x2000, 3000)
+		errs[4] = h.FlushRangeP(p, remoteBase+LineSize, 3*LineSize)
 	})
 	eng.Run()
-	for i, what := range []string{"uncached write", "flush"} {
+	for i, what := range []string{"uncached write", "flush", "3,000-byte uncached write",
+		"3,000-byte uncached read", "flush of three dirty lines"} {
 		if !errors.Is(errs[i], txn.ErrTimeout) {
 			t.Errorf("%s to a fenced FAM ended with %v, want %v", what, errs[i], txn.ErrTimeout)
+		}
+	}
+	for _, a := range []uint64{2 * LineSize, 3 * LineSize} {
+		if l := h.l1.peek(remoteBase + a); l == nil || !l.dirty {
+			t.Errorf("line %#x lost its dirty data, though the flush failed before it", remoteBase+a)
 		}
 	}
 }
@@ -411,7 +438,7 @@ func TestFailedFillIsTyped(t *testing.T) {
 	const addr = remoteBase + 0x2000
 	eng.Go("writer", func(p *sim.Proc) {
 		h.Store64P(p, addr, 42)
-		if _, err := h.FlushLine(addr).Await(p); err != nil {
+		if err := h.FlushRangeP(p, addr, 8); err != nil {
 			t.Error(err)
 		}
 	})
@@ -487,20 +514,6 @@ func TestBlockingAccessAllocCeiling(t *testing.T) {
 // cache levels on every load: lines 64 KiB apart share one L1 set and
 // one L2 set, and 32 of them overflow both sets' ways.
 func remoteMissAddr(i int) uint64 { return remoteBase + uint64(i%32)<<16 }
-
-func TestWriteBufReadBufRoundTrip(t *testing.T) {
-	eng, h, _ := rig(t, nil)
-	data := []byte("unaligned payload spanning multiple cachelines: 0123456789abcdef0123456789")
-	eng.Go("driver", func(p *sim.Proc) {
-		h.WriteBufP(p, 0x7003, data) // deliberately unaligned
-		got := make([]byte, len(data))
-		h.ReadBufP(p, 0x7003, got)
-		if string(got) != string(data) {
-			t.Fatalf("got %q", got)
-		}
-	})
-	eng.Run()
-}
 
 func TestVictimBufferForwarding(t *testing.T) {
 	// A line evicted dirty and immediately re-read must return the new
@@ -632,7 +645,10 @@ func TestHostRandomOpsMatchReferenceMemory(t *testing.T) {
 					h.Store64P(p, a, v)
 					ref[a] = v
 				case 4:
-					h.FlushLine(a).MustAwait(p)
+					if err := h.FlushRangeP(p, a, 8); err != nil {
+						t.Errorf("seed %d op %d: flush(%#x): %v", seed, op, a, err)
+						return
+					}
 				default:
 					got := h.Load64P(p, a)
 					if got != ref[a] {

@@ -146,44 +146,6 @@ func (h *Host) Store64(addr uint64, v uint64) *sim.Future[struct{}] {
 	return f
 }
 
-// LoadBytes reads n bytes at addr (must not cross a cacheline).
-func (h *Host) LoadBytes(addr uint64, n int) *sim.Future[[]byte] {
-	if addr&LineMask != (addr+uint64(n)-1)&LineMask {
-		panic(fmt.Sprintf("host: LoadBytes [%#x,+%d) crosses a line", addr, n))
-	}
-	f := sim.NewFuture[[]byte]()
-	h.access(addr, false, func(l *line, _ bool, err error) {
-		if err != nil {
-			f.Fail(err)
-			return
-		}
-		off := addr & (LineSize - 1)
-		f.Complete(append([]byte(nil), l.data[off:off+uint64(n)]...))
-	})
-	return f
-}
-
-// StoreBytes writes data at addr (must not cross a cacheline).
-func (h *Host) StoreBytes(addr uint64, data []byte) *sim.Future[struct{}] {
-	if addr&LineMask != (addr+uint64(len(data))-1)&LineMask {
-		panic(fmt.Sprintf("host: StoreBytes [%#x,+%d) crosses a line", addr, len(data)))
-	}
-	f := sim.NewFuture[struct{}]()
-	h.access(addr, true, func(l *line, missed bool, err error) {
-		if err != nil {
-			f.Fail(err)
-			return
-		}
-		copy(l.data[addr&(LineSize-1):], data)
-		if missed {
-			h.eng.After(h.cfg.StoreCommit, func() { f.Complete(struct{}{}) })
-		} else {
-			f.Complete(struct{}{})
-		}
-	})
-	return f
-}
-
 // Load64P is the blocking form of Load64; it panics if the fill fails.
 func (h *Host) Load64P(p *sim.Proc, addr uint64) uint64 {
 	op := h.load(addr, nil)
@@ -200,146 +162,106 @@ func (h *Host) Store64P(p *sim.Proc, addr uint64, v uint64) {
 	h.putStoreOp(op)
 }
 
-// ReadBufP reads an arbitrary buffer through the caches, line by line.
-func (h *Host) ReadBufP(p *sim.Proc, addr uint64, buf []byte) {
-	for len(buf) > 0 {
-		off := addr & (LineSize - 1)
-		n := LineSize - int(off)
-		if n > len(buf) {
-			n = len(buf)
-		}
-		b := h.LoadBytes(addr, n).MustAwait(p)
-		copy(buf, b)
-		buf = buf[n:]
-		addr += uint64(n)
-	}
-}
-
-// WriteBufP writes an arbitrary buffer through the caches, line by line.
-func (h *Host) WriteBufP(p *sim.Proc, addr uint64, data []byte) {
-	for len(data) > 0 {
-		off := addr & (LineSize - 1)
-		n := LineSize - int(off)
-		if n > len(data) {
-			n = len(data)
-		}
-		h.StoreBytes(addr, data[:n]).MustAwait(p)
-		data = data[n:]
-		addr += uint64(n)
-	}
-}
-
 // ---- cache management ----
 
-// FlushLine writes back the line containing addr if dirty and
-// invalidates it from both levels. The future resolves when any
-// writeback has reached its home, and fails if the fabric lost it or
-// the device refused it. This is the software-coherence primitive that
-// non-CC-NUMA node types require (§3, Difference #2).
-func (h *Host) FlushLine(addr uint64) *sim.Future[struct{}] {
-	lineAddr := addr & LineMask
-	f := sim.NewFuture[struct{}]()
-	var dirtyData *[LineSize]byte
-	if d, dirty, present := h.l1.invalidate(lineAddr); present && dirty {
-		dd := d
-		dirtyData = &dd
-	}
-	if d, dirty, present := h.l2.invalidate(lineAddr); present && dirty && dirtyData == nil {
-		dd := d
-		dirtyData = &dd
-	}
-	if dirtyData == nil {
-		f.Complete(struct{}{})
-		return f
-	}
-	r := h.amap.MustLookup(lineAddr)
-	if r.Local {
-		h.dram.Write(lineAddr, dirtyData[:], func() { f.Complete(struct{}{}) })
-		return f
-	}
-	h.RemoteWrites.Inc()
-	req := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemWr, Dst: r.Port,
-		Addr: r.DevAddr(lineAddr), Size: LineSize, Data: append([]byte(nil), dirtyData[:]...)}
-	h.eng.After(h.cfg.FHALat, func() {
-		h.ep.Request(req).OnComplete(func(_ *flit.Packet, err error) { settle(f, struct{}{}, err) })
-	})
-	return f
-}
-
-// FlushRangeP flushes every line overlapping [addr, addr+n).
-func (h *Host) FlushRangeP(p *sim.Proc, addr uint64, n uint64) {
+// FlushRangeP writes back every dirty line overlapping [addr, addr+n)
+// and invalidates each line from both levels, one line at a time,
+// parking p until each writeback has reached its home. This is the
+// software-coherence primitive that non-CC-NUMA node types require
+// (§3, Difference #2). It stops at the first writeback the fabric lost
+// or the device refused and returns its typed error: that line's dirty
+// data is lost with the error, and the lines after it stay cached.
+func (h *Host) FlushRangeP(p *sim.Proc, addr, n uint64) error {
 	for a := addr & LineMask; a < addr+n; a += LineSize {
-		h.FlushLine(a).MustAwait(p)
+		data, dirty, _ := h.l1.invalidate(a)
+		if d, dirty2, _ := h.l2.invalidate(a); !dirty {
+			data, dirty = d, dirty2
+		}
+		if !dirty {
+			continue
+		}
+		r := h.amap.MustLookup(a)
+		if r.Local {
+			p.Suspend(func(wake func()) { h.dram.Write(a, data[:], wake) })
+			continue
+		}
+		h.RemoteWrites.Inc()
+		req := &flit.Packet{Chan: flit.ChMem, Op: flit.OpMemWr, Dst: r.Port,
+			Addr: r.DevAddr(a), Size: LineSize, Data: data[:]}
+		if _, err := h.requestP(p, req); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-// InvalidateLine drops the line containing addr without writeback —
-// the receiving side of software coherence (discard stale data).
-func (h *Host) InvalidateLine(addr uint64) {
-	lineAddr := addr & LineMask
-	h.l1.invalidate(lineAddr)
-	h.l2.invalidate(lineAddr)
-}
-
-// InvalidateRange drops every line overlapping [addr, addr+n).
-func (h *Host) InvalidateRange(addr uint64, n uint64) {
+// InvalidateRange drops every line overlapping [addr, addr+n) without
+// writeback — the receiving side of software coherence (discard stale
+// data).
+func (h *Host) InvalidateRange(addr, n uint64) {
 	for a := addr & LineMask; a < addr+n; a += LineSize {
-		h.InvalidateLine(a)
+		h.l1.invalidate(a)
+		h.l2.invalidate(a)
 	}
 }
 
 // ---- uncached operations ----
 
-// UncachedRead fetches n bytes (≤ one max packet payload) at addr
-// bypassing the cache hierarchy (CXL.io-style non-coherent access).
-// Lines that may be cached locally are NOT flushed; callers manage
-// coherence explicitly.
-func (h *Host) UncachedRead(addr uint64, n uint32) *sim.Future[[]byte] {
-	if n > link.MaxPacketPayload {
-		panic(fmt.Sprintf("host: UncachedRead of %d bytes; use UncachedReadBigP", n))
-	}
-	f := sim.NewFuture[[]byte]()
-	r := h.amap.MustLookup(addr)
-	if r.Local {
-		// The bytes escape through the future, so they get a buffer of
-		// their own.
-		b := make([]byte, n)
-		h.dram.Read(addr, b, func() { f.Complete(b) })
-		return f
-	}
-	req := &flit.Packet{Chan: flit.ChIO, Op: flit.OpIORd, Dst: r.Port,
-		Addr: r.DevAddr(addr), ReqLen: n}
-	h.eng.After(h.cfg.FHALat, func() {
-		h.ep.Request(req).OnComplete(func(resp *flit.Packet, err error) {
+// UncachedReadP reads n bytes at addr bypassing the cache hierarchy
+// (CXL.io-style non-coherent access), one max-payload request at a
+// time, parking p until each lands. Lines that may be cached locally
+// are NOT flushed; callers manage coherence explicitly. It stops at the
+// first request the fabric lost or the device refused and returns its
+// typed error.
+func (h *Host) UncachedReadP(p *sim.Proc, addr, n uint64) ([]byte, error) {
+	out := make([]byte, n)
+	for off := uint64(0); off < n; {
+		a, c := addr+off, min(n-off, link.MaxPacketPayload)
+		r := h.amap.MustLookup(a)
+		if r.Local {
+			p.Suspend(func(wake func()) { h.dram.Read(a, out[off:off+c], wake) })
+		} else {
+			resp, err := h.requestP(p, &flit.Packet{Chan: flit.ChIO, Op: flit.OpIORd,
+				Dst: r.Port, Addr: r.DevAddr(a), ReqLen: uint32(c)})
 			if err != nil {
-				f.Fail(err)
-				return
+				return nil, err
 			}
-			f.Complete(resp.Data)
-		})
-	})
-	return f
+			copy(out[off:off+c], resp.Data)
+		}
+		off += c
+	}
+	return out, nil
 }
 
-// UncachedWrite stores data (≤ one max packet payload) at addr
-// bypassing the caches. It fails if the fabric lost the write or the
-// device refused it.
-func (h *Host) UncachedWrite(addr uint64, data []byte) *sim.Future[struct{}] {
-	if len(data) > link.MaxPacketPayload {
-		panic(fmt.Sprintf("host: UncachedWrite of %d bytes; use UncachedWriteBigP", len(data)))
+// UncachedWriteP stores data at addr bypassing the caches, one
+// max-payload request at a time, parking p until each lands. It stops
+// at the first write the fabric lost or the device refused and returns
+// its typed error. The requests carry data itself, not a copy: p stays
+// parked until each one resolves.
+func (h *Host) UncachedWriteP(p *sim.Proc, addr uint64, data []byte) error {
+	for len(data) > 0 {
+		c := min(len(data), link.MaxPacketPayload)
+		r := h.amap.MustLookup(addr)
+		if r.Local {
+			p.Suspend(func(wake func()) { h.dram.Write(addr, data[:c], wake) })
+		} else {
+			req := &flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr, Dst: r.Port,
+				Addr: r.DevAddr(addr), Size: uint32(c), Data: data[:c]}
+			if _, err := h.requestP(p, req); err != nil {
+				return err
+			}
+		}
+		data = data[c:]
+		addr += uint64(c)
 	}
-	f := sim.NewFuture[struct{}]()
-	r := h.amap.MustLookup(addr)
-	if r.Local {
-		h.dram.Write(addr, data, func() { f.Complete(struct{}{}) })
-		return f
-	}
-	req := &flit.Packet{Chan: flit.ChIO, Op: flit.OpIOWr, Dst: r.Port,
-		Addr: r.DevAddr(addr), Size: uint32(len(data)), Data: append([]byte(nil), data...)}
-	h.eng.After(h.cfg.FHALat, func() {
-		h.ep.Request(req).OnComplete(func(_ *flit.Packet, err error) { settle(f, struct{}{}, err) })
-	})
-	return f
+	return nil
+}
+
+// requestP sends one uncached request or flush writeback: it parks p
+// through the FHA's crossing, then until the request resolves.
+func (h *Host) requestP(p *sim.Proc, req *flit.Packet) (*flit.Packet, error) {
+	p.Sleep(h.cfg.FHALat)
+	return h.ep.RequestP(p, req, 0, 0)
 }
 
 // settle completes f with v, or fails it with err when there is one.
@@ -349,35 +271,4 @@ func settle[T any](f *sim.Future[T], v T, err error) {
 		return
 	}
 	f.Complete(v)
-}
-
-// UncachedReadBigP reads an arbitrary-size buffer uncached, in
-// max-payload chunks, blocking the calling process.
-func (h *Host) UncachedReadBigP(p *sim.Proc, addr uint64, n uint64) []byte {
-	out := make([]byte, 0, n)
-	for n > 0 {
-		c := uint64(link.MaxPacketPayload)
-		if n < c {
-			c = n
-		}
-		b := h.UncachedRead(addr, uint32(c)).MustAwait(p)
-		out = append(out, b...)
-		addr += c
-		n -= c
-	}
-	return out
-}
-
-// UncachedWriteBigP writes an arbitrary-size buffer uncached, in
-// max-payload chunks, blocking the calling process.
-func (h *Host) UncachedWriteBigP(p *sim.Proc, addr uint64, data []byte) {
-	for len(data) > 0 {
-		c := link.MaxPacketPayload
-		if len(data) < c {
-			c = len(data)
-		}
-		h.UncachedWrite(addr, data[:c]).MustAwait(p)
-		data = data[c:]
-		addr += uint64(c)
-	}
 }

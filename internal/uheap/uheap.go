@@ -155,7 +155,6 @@ type Heap struct {
 	pools []*pool
 	objs  map[uint64]*Obj
 	next  uint64
-	stop  bool
 
 	// Metrics.
 	Allocs     sim.Counter
@@ -195,9 +194,6 @@ func New(h *host.Host, cfg Config, specs ...PoolSpec) (*Heap, error) {
 	if cfg.Epoch > 0 {
 		var tick func()
 		tick = func() {
-			if hp.stop {
-				return
-			}
 			hp.epoch()
 			// Keep ticking only while the simulation has other work:
 			// when the event queue is otherwise empty the run is over,
@@ -211,9 +207,6 @@ func New(h *host.Host, cfg Config, specs ...PoolSpec) (*Heap, error) {
 	}
 	return hp, nil
 }
-
-// Stop halts the migration runtime.
-func (hp *Heap) Stop() { hp.stop = true }
 
 // Alloc places an object of size bytes, preferring the fastest pool
 // with space (or the hinted class when given a valid hint).
@@ -270,9 +263,14 @@ func (o *Obj) touch() {
 }
 
 // waitMigration parks the accessor while the runtime moves the object.
+// An object freed meanwhile has its bin released when the move ends, so
+// the woken accessor must not reach it.
 func (o *Obj) waitMigration(p *sim.Proc) {
 	for o.migrating {
 		p.Suspend(func(wake func()) { o.waiters = append(o.waiters, wake) })
+		if o.freed {
+			panic("uheap: use after free")
+		}
 	}
 }
 
@@ -302,22 +300,6 @@ func (o *Obj) Write64P(p *sim.Proc, off uint64, v uint64) {
 	o.touch()
 	o.waitMigration(p)
 	o.hp.h.Store64P(p, o.addr+off, v)
-}
-
-// ReadP reads len(buf) bytes at off.
-func (o *Obj) ReadP(p *sim.Proc, off uint64, buf []byte) {
-	o.bounds(off, uint64(len(buf)))
-	o.touch()
-	o.waitMigration(p)
-	o.hp.h.ReadBufP(p, o.addr+off, buf)
-}
-
-// WriteP writes data at off.
-func (o *Obj) WriteP(p *sim.Proc, off uint64, data []byte) {
-	o.bounds(off, uint64(len(data)))
-	o.touch()
-	o.waitMigration(p)
-	o.hp.h.WriteBufP(p, o.addr+off, data)
 }
 
 func (o *Obj) bounds(off, n uint64) {
@@ -411,7 +393,9 @@ func (hp *Heap) coldestIn(pl *pool, shift uint) *Obj {
 // transfers — migration must not consume the application's MSHRs or
 // pollute its caches. Accessors are blocked for the (short) duration
 // via the object's migration lock; dirty cached lines are flushed
-// before the copy and stale lines of both ranges invalidated after.
+// before the copy and stale lines of both ranges invalidated after. A
+// copy that fails panics with its typed error: the runtime has no way
+// yet to recover a half-moved object.
 func (hp *Heap) move(o *Obj, target *pool, addr uint64) {
 	from, fromShift, fromPool := o.addr, o.shift, o.pool
 	if target.spec.Class < fromPool.spec.Class {
@@ -421,9 +405,10 @@ func (hp *Heap) move(o *Obj, target *pool, addr uint64) {
 	}
 	o.migrating = true
 	hp.eng.Go("uheap-migrate", func(p *sim.Proc) {
-		hp.h.FlushRangeP(p, from, o.size)
-		buf := hp.h.UncachedReadBigP(p, from, o.size)
-		hp.h.UncachedWriteBigP(p, addr, buf)
+		check(hp.h.FlushRangeP(p, from, o.size))
+		buf, err := hp.h.UncachedReadP(p, from, o.size)
+		check(err)
+		check(hp.h.UncachedWriteP(p, addr, buf))
 		hp.h.InvalidateRange(addr, o.size) // drop stale lines of the bin's past life
 		hp.h.InvalidateRange(from, o.size)
 		o.addr = addr
@@ -443,12 +428,14 @@ func (hp *Heap) swap(hot, cold *Obj) {
 	hot.migrating = true
 	cold.migrating = true
 	hp.eng.Go("uheap-swap", func(p *sim.Proc) {
-		hp.h.FlushRangeP(p, hotAddr, hot.size)
-		hp.h.FlushRangeP(p, coldAddr, cold.size)
-		hb := hp.h.UncachedReadBigP(p, hotAddr, hot.size)
-		cb := hp.h.UncachedReadBigP(p, coldAddr, cold.size)
-		hp.h.UncachedWriteBigP(p, hotAddr, cb)
-		hp.h.UncachedWriteBigP(p, coldAddr, hb)
+		check(hp.h.FlushRangeP(p, hotAddr, hot.size))
+		check(hp.h.FlushRangeP(p, coldAddr, cold.size))
+		hb, err := hp.h.UncachedReadP(p, hotAddr, hot.size)
+		check(err)
+		cb, err := hp.h.UncachedReadP(p, coldAddr, cold.size)
+		check(err)
+		check(hp.h.UncachedWriteP(p, hotAddr, cb))
+		check(hp.h.UncachedWriteP(p, coldAddr, hb))
 		hp.h.InvalidateRange(hotAddr, hot.size)
 		hp.h.InvalidateRange(coldAddr, cold.size)
 		hot.addr, cold.addr = coldAddr, hotAddr
@@ -456,6 +443,13 @@ func (hp *Heap) swap(hot, cold *Obj) {
 		hot.endMigration()
 		cold.endMigration()
 	})
+}
+
+// check panics with a migration copy's error.
+func check(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // Objects reports the live object count.

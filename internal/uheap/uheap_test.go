@@ -1,7 +1,6 @@
 package uheap
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -146,13 +145,14 @@ func TestOutOfBoundsPanics(t *testing.T) {
 func TestObjectDataRoundTrip(t *testing.T) {
 	eng, _, hp := rig(t, noMigration(), 1<<20)
 	o, _ := hp.Alloc(300, ClassFar)
-	data := bytes.Repeat([]byte{0xC3}, 300)
 	eng.Go("driver", func(p *sim.Proc) {
-		o.WriteP(p, 0, data)
-		got := make([]byte, 300)
-		o.ReadP(p, 0, got)
-		if !bytes.Equal(got, data) {
-			t.Error("object data corrupted")
+		for off := uint64(0); off+8 <= o.Size(); off += 8 {
+			o.Write64P(p, off, 0xC3C3C3C3_00000000|off)
+		}
+		for off := uint64(0); off+8 <= o.Size(); off += 8 {
+			if got := o.Read64P(p, off); got != 0xC3C3C3C3_00000000|off {
+				t.Errorf("word at %d reads %#x, want %#x", off, got, 0xC3C3C3C3_00000000|off)
+			}
 		}
 	})
 	eng.Run()
@@ -213,7 +213,9 @@ func TestMigrationPromotesHotObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Go("driver", func(p *sim.Proc) {
-		o.WriteP(p, 0, []byte("hot data that should migrate home!"))
+		for off := uint64(0); off < 40; off += 8 {
+			o.Write64P(p, off, 0x5EED_0000|off)
+		}
 		for i := 0; i < 200; i++ {
 			o.Read64P(p, 0)
 			p.Sleep(500 * sim.Nanosecond)
@@ -227,11 +229,17 @@ func TestMigrationPromotesHotObject(t *testing.T) {
 		t.Fatal("no promotions counted")
 	}
 	// Data must survive the move.
-	got := make([]byte, 34)
-	eng.Go("check", func(p *sim.Proc) { o.ReadP(p, 0, got) })
+	var got [5]uint64
+	eng.Go("check", func(p *sim.Proc) {
+		for i := range got {
+			got[i] = o.Read64P(p, uint64(i)*8)
+		}
+	})
 	eng.Run()
-	if string(got) != "hot data that should migrate home!" {
-		t.Fatalf("data corrupted by migration: %q", got)
+	for i, v := range got {
+		if want := 0x5EED_0000 | uint64(i)*8; v != want {
+			t.Errorf("word %d reads %#x after migration, want %#x", i, v, want)
+		}
 	}
 }
 
@@ -271,7 +279,8 @@ func TestMigrationSwapsColdOut(t *testing.T) {
 // TestFreeDuringMigration frees an object while the runtime is moving
 // it: mid-promotion, and as the cold side of a swap. The bin the object
 // ends in must go back to its pool once, and no bin a live object holds
-// may be handed out again.
+// may be handed out again. An accessor parked on the move must panic
+// when it wakes, not read the released bin.
 func TestFreeDuringMigration(t *testing.T) {
 	t.Run("promotion", func(t *testing.T) {
 		eng, _, hp := rig(t, noMigration(), 1<<20)
@@ -299,6 +308,24 @@ func TestFreeDuringMigration(t *testing.T) {
 			t.Fatalf("hot object in %v after the swap", hot.Class())
 		}
 		checkBins(t, hp)
+	})
+	t.Run("parked accessor", func(t *testing.T) {
+		eng, _, hp := rig(t, noMigration(), 1<<20)
+		o, _ := hp.Alloc(4096, ClassFar)
+		if !hp.promote(o) {
+			t.Fatal("promotion not scheduled")
+		}
+		got := uint64(1)
+		eng.Go("reader", func(p *sim.Proc) { got = o.Read64P(p, 0) })
+		eng.After(10*sim.Nanosecond, func() { hp.Free(o) })
+		rec := func() (rec any) {
+			defer func() { rec = recover() }()
+			eng.Run()
+			return nil
+		}()
+		if rec != "uheap: use after free" {
+			t.Fatalf("the parked reader read %d and Run recovered %v, want the use-after-free panic", got, rec)
+		}
 	})
 }
 
